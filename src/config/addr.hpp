@@ -35,7 +35,10 @@ struct Ipv4Prefix {
 inline std::optional<std::uint32_t> parse_ipv4(std::string_view s) {
   std::uint32_t out = 0;
   int octets = 0;
-  for (const auto& part : split(s, '.')) {
+  for (std::size_t start = 0;;) {
+    const std::size_t dot = s.find('.', start);
+    const std::string_view part =
+        s.substr(start, dot == std::string_view::npos ? dot : dot - start);
     if (part.empty() || part.size() > 3 || octets == 4) return std::nullopt;
     int v = 0;
     for (char c : part) {
@@ -45,6 +48,8 @@ inline std::optional<std::uint32_t> parse_ipv4(std::string_view s) {
     if (v > 255) return std::nullopt;
     out = (out << 8) | static_cast<std::uint32_t>(v);
     ++octets;
+    if (dot == std::string_view::npos) break;
+    start = dot + 1;
   }
   return octets == 4 ? std::optional<std::uint32_t>(out) : std::nullopt;
 }

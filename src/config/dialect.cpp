@@ -1,6 +1,7 @@
 #include "config/dialect.hpp"
 
 #include <array>
+#include <optional>
 #include <sstream>
 
 #include "util/strings.hpp"
@@ -63,6 +64,73 @@ Stanza parse_ios_header(std::string_view line) {
   return s;
 }
 
+// Split a JunOS-like block header (the trimmed line without its "{")
+// into (type, name).
+std::pair<std::string_view, std::string_view> split_junos_header(std::string_view header) {
+  const std::size_t sp = header.find(' ');
+  if (sp == std::string_view::npos) return {header, {}};
+  return {header.substr(0, sp), trim(header.substr(sp + 1))};
+}
+
+// The line of `text` starting at `pos` (without its '\n'); advances
+// `pos` past it. Yields the same lines as split(text, '\n') without
+// copying them; returns false once every line has been taken.
+bool next_line(std::string_view text, std::size_t& pos, std::string_view& raw) {
+  if (pos > text.size()) return false;
+  const std::size_t nl = text.find('\n', pos);
+  const std::size_t end = nl == std::string_view::npos ? text.size() : nl;
+  raw = text.substr(pos, end - pos);
+  pos = end + 1;
+  return true;
+}
+
+Stanza parse_ios_stanza(std::string_view chunk) {
+  Stanza s;
+  bool header = true;
+  std::size_t pos = 0;
+  std::string_view raw;
+  while (next_line(chunk, pos, raw)) {
+    const std::string_view line = trim(raw);
+    if (line.empty()) continue;
+    if (header) {
+      s = parse_ios_header(line);
+      header = false;
+    } else {
+      s.options.push_back(parse_ios_option(line));
+    }
+  }
+  return s;
+}
+
+Stanza parse_junos_stanza(std::string_view chunk) {
+  Stanza s;
+  bool header = true;
+  std::size_t pos = 0;
+  std::string_view raw;
+  while (next_line(chunk, pos, raw)) {
+    std::string_view line = trim(raw);
+    if (line.empty() || starts_with(line, "/*") || line == "}") continue;
+    if (header) {
+      if (line.back() == '{') line.remove_suffix(1);
+      const auto [type, name] = split_junos_header(trim(line));
+      s.type = std::string(type);
+      s.name = std::string(name);
+      header = false;
+      continue;
+    }
+    if (line.back() == ';') line.remove_suffix(1);
+    const std::string_view stmt = trim(line);
+    const std::size_t sp = stmt.find(' ');
+    if (sp == std::string_view::npos) {
+      s.options.push_back(Option{std::string(stmt), ""});
+    } else {
+      s.options.push_back(
+          Option{std::string(stmt.substr(0, sp)), std::string(trim(stmt.substr(sp + 1)))});
+    }
+  }
+  return s;
+}
+
 std::string render_ios(const DeviceConfig& c) {
   std::ostringstream os;
   os << "! device " << c.device_id() << "\n";
@@ -78,34 +146,6 @@ std::string render_ios(const DeviceConfig& c) {
     os << "!\n";
   }
   return os.str();
-}
-
-DeviceConfig parse_ios(std::string_view text, std::string device_id) {
-  DeviceConfig c(std::move(device_id));
-  Stanza cur;
-  bool in_stanza = false;
-  for (const auto& raw : split(text, '\n')) {
-    std::string_view line = trim(raw);
-    if (line.empty()) continue;
-    if (line[0] == '!') {
-      if (in_stanza) {
-        c.stanzas().push_back(std::move(cur));
-        cur = Stanza{};
-        in_stanza = false;
-      }
-      continue;  // comment or terminator
-    }
-    if (indent_of(raw) == 0) {
-      if (in_stanza) c.stanzas().push_back(std::move(cur));
-      cur = parse_ios_header(line);
-      in_stanza = true;
-    } else {
-      require_data(in_stanza, "IOS parse: option line outside a stanza: " + std::string(line));
-      cur.options.push_back(parse_ios_option(line));
-    }
-  }
-  if (in_stanza) c.stanzas().push_back(std::move(cur));
-  return c;
 }
 
 std::string render_junos(const DeviceConfig& c) {
@@ -125,49 +165,6 @@ std::string render_junos(const DeviceConfig& c) {
   return os.str();
 }
 
-DeviceConfig parse_junos(std::string_view text, std::string device_id) {
-  DeviceConfig c(std::move(device_id));
-  Stanza cur;
-  bool in_stanza = false;
-  for (const auto& raw : split(text, '\n')) {
-    std::string_view line = trim(raw);
-    if (line.empty() || starts_with(line, "/*")) continue;
-    if (line == "}") {
-      require_data(in_stanza, "JunOS parse: unbalanced '}'");
-      c.stanzas().push_back(std::move(cur));
-      cur = Stanza{};
-      in_stanza = false;
-      continue;
-    }
-    if (line.back() == '{') {
-      require_data(!in_stanza, "JunOS parse: nested block in " + cur.type);
-      std::string_view header = trim(line.substr(0, line.size() - 1));
-      const std::size_t sp = header.find(' ');
-      cur = Stanza{};
-      if (sp == std::string_view::npos) {
-        cur.type = std::string(header);
-      } else {
-        cur.type = std::string(header.substr(0, sp));
-        cur.name = std::string(trim(header.substr(sp + 1)));
-      }
-      in_stanza = true;
-      continue;
-    }
-    require_data(in_stanza, "JunOS parse: statement outside block: " + std::string(line));
-    require_data(line.back() == ';', "JunOS parse: missing ';' on: " + std::string(line));
-    std::string_view stmt = trim(line.substr(0, line.size() - 1));
-    const std::size_t sp = stmt.find(' ');
-    if (sp == std::string_view::npos) {
-      cur.options.push_back(Option{std::string(stmt), ""});
-    } else {
-      cur.options.push_back(
-          Option{std::string(stmt.substr(0, sp)), std::string(trim(stmt.substr(sp + 1)))});
-    }
-  }
-  require_data(!in_stanza, "JunOS parse: unterminated block " + cur.type);
-  return c;
-}
-
 SourceMap scan_ios(std::string_view text) {
   SourceMap map;
   std::vector<std::string> pending_comments;
@@ -177,7 +174,8 @@ SourceMap scan_ios(std::string_view text) {
     if (open >= 0) map.stanzas[static_cast<std::size_t>(open)].last_line = end_line;
     open = -1;
   };
-  for (const auto& raw : split(text, '\n')) {
+  std::string_view raw;
+  for (std::size_t pos = 0; next_line(text, pos, raw);) {
     ++line_no;
     std::string_view line = trim(raw);
     if (line.empty()) continue;
@@ -215,7 +213,8 @@ SourceMap scan_junos(std::string_view text) {
   std::vector<std::string> pending_comments;
   int line_no = 0;
   int open = -1;
-  for (const auto& raw : split(text, '\n')) {
+  std::string_view raw;
+  for (std::size_t pos = 0; next_line(text, pos, raw);) {
     ++line_no;
     std::string_view line = trim(raw);
     if (line.empty()) continue;
@@ -236,15 +235,10 @@ SourceMap scan_junos(std::string_view text) {
       continue;
     }
     if (line.back() == '{') {
-      std::string_view header = trim(line.substr(0, line.size() - 1));
-      const std::size_t sp = header.find(' ');
+      const auto [type, name] = split_junos_header(trim(line.substr(0, line.size() - 1)));
       SourceStanza src;
-      if (sp == std::string_view::npos) {
-        src.type = std::string(header);
-      } else {
-        src.type = std::string(header.substr(0, sp));
-        src.name = std::string(trim(header.substr(sp + 1)));
-      }
+      src.type = std::string(type);
+      src.name = std::string(name);
       src.first_line = line_no;
       src.last_line = line_no;
       src.leading_comments = std::move(pending_comments);
@@ -278,9 +272,76 @@ std::string render(const DeviceConfig& config, Dialect d) {
   return d == Dialect::kIosLike ? render_ios(config) : render_junos(config);
 }
 
+std::optional<std::string_view> StanzaChunker::next() {
+  return dialect_ == Dialect::kIosLike ? next_ios() : next_junos();
+}
+
+// A stanza runs from its header to its last option line; a "!" line or
+// the next header ends it.
+std::optional<std::string_view> StanzaChunker::next_ios() {
+  std::size_t begin = std::string_view::npos, end = 0;
+  std::string_view raw;
+  for (std::size_t at = pos_; next_line(text_, pos_, raw); at = pos_) {
+    const std::string_view line = trim(raw);
+    if (line.empty()) continue;
+    if (line[0] == '!') {  // comment or terminator
+      if (begin != std::string_view::npos) return text_.substr(begin, end - begin);
+      continue;
+    }
+    if (indent_of(raw) == 0) {
+      if (begin != std::string_view::npos) {
+        pos_ = at;  // this header opens the next chunk
+        return text_.substr(begin, end - begin);
+      }
+      begin = at;
+    } else if (begin == std::string_view::npos) {
+      throw DataError("IOS parse: option line outside a stanza: " + std::string(line));
+    }
+    end = at + raw.size();
+  }
+  if (begin != std::string_view::npos) return text_.substr(begin, end - begin);
+  return std::nullopt;
+}
+
+// A block runs from its "{" header through its closing "}".
+std::optional<std::string_view> StanzaChunker::next_junos() {
+  std::size_t begin = std::string_view::npos;
+  std::string_view header, raw;
+  const auto open_type = [&] {
+    return std::string(split_junos_header(trim(header.substr(0, header.size() - 1))).first);
+  };
+  for (std::size_t at = pos_; next_line(text_, pos_, raw); at = pos_) {
+    const std::string_view line = trim(raw);
+    if (line.empty() || starts_with(line, "/*")) continue;
+    if (line == "}") {
+      if (begin == std::string_view::npos) throw DataError("JunOS parse: unbalanced '}'");
+      return text_.substr(begin, at + raw.size() - begin);
+    }
+    if (line.back() == '{') {
+      if (begin != std::string_view::npos)
+        throw DataError("JunOS parse: nested block in " + open_type());
+      begin = at;
+      header = line;
+      continue;
+    }
+    if (begin == std::string_view::npos)
+      throw DataError("JunOS parse: statement outside block: " + std::string(line));
+    if (line.back() != ';') throw DataError("JunOS parse: missing ';' on: " + std::string(line));
+  }
+  if (begin != std::string_view::npos)
+    throw DataError("JunOS parse: unterminated block " + open_type());
+  return std::nullopt;
+}
+
+Stanza parse_stanza(std::string_view chunk, Dialect d) {
+  return d == Dialect::kIosLike ? parse_ios_stanza(chunk) : parse_junos_stanza(chunk);
+}
+
 DeviceConfig parse(std::string_view text, Dialect d, std::string device_id) {
-  return d == Dialect::kIosLike ? parse_ios(text, std::move(device_id))
-                                : parse_junos(text, std::move(device_id));
+  DeviceConfig c(std::move(device_id));
+  StanzaChunker chunks(text, d);
+  while (const auto chunk = chunks.next()) c.stanzas().push_back(parse_stanza(*chunk, d));
+  return c;
 }
 
 SourceMap scan_source(std::string_view text, Dialect d) {

@@ -17,6 +17,7 @@
 // vendor-typification limitation discussed in §2.2.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -38,7 +39,35 @@ std::string render(const DeviceConfig& config, Dialect d);
 /// Parse dialect text into a DeviceConfig. Unknown stanza types and
 /// option keys are preserved verbatim (first token = key). Throws
 /// DataError on structurally malformed text (e.g. unbalanced braces).
+/// Equivalent to parse_stanza() over every StanzaChunker chunk.
 DeviceConfig parse(std::string_view text, Dialect d, std::string device_id);
+
+/// Cuts dialect text into stanza chunks, one at a time and in text
+/// order: the bytes from a stanza's header line through its last
+/// option line (IOS-like) or its closing "}" (JunOS-like). All of the
+/// text's structure is checked here, so next() throws exactly the
+/// DataError parse() throws, at the same stanza. A chunk's text alone
+/// determines its parsed Stanza, which is what lets inference parse
+/// each distinct chunk once (config/stanza_table.hpp).
+class StanzaChunker {
+ public:
+  StanzaChunker(std::string_view text, Dialect d) : text_(text), dialect_(d) {}
+
+  /// The next chunk (a view into the text), or nullopt at the end.
+  std::optional<std::string_view> next();
+
+ private:
+  std::optional<std::string_view> next_ios();
+  std::optional<std::string_view> next_junos();
+
+  std::string_view text_;
+  Dialect dialect_;
+  std::size_t pos_ = 0;  ///< Start of the first line not yet consumed.
+};
+
+/// Parse one chunk cut by StanzaChunker. Never throws: malformed text
+/// is rejected by the chunker.
+Stanza parse_stanza(std::string_view chunk, Dialect d);
 
 /// Structural source map of dialect text: where each stanza lives and
 /// which comments precede it. This is what lets the lint engine point

@@ -34,26 +34,26 @@ std::string_view to_string(ChangeKind k) {
   return "unknown";
 }
 
+std::optional<StanzaChange> stanza_change(const Stanza* before, const Stanza* after) {
+  if (before == nullptr)
+    return StanzaChange{after->type, normalize_type(after->type), after->name, ChangeKind::kAdded,
+                        static_cast<int>(after->options.size())};
+  if (after == nullptr)
+    return StanzaChange{before->type, normalize_type(before->type), before->name,
+                        ChangeKind::kRemoved, static_cast<int>(before->options.size())};
+  if (*before == *after) return std::nullopt;
+  return StanzaChange{before->type, normalize_type(before->type), before->name,
+                      ChangeKind::kUpdated, options_delta(*before, *after)};
+}
+
 std::vector<StanzaChange> diff(const DeviceConfig& before, const DeviceConfig& after) {
   std::vector<StanzaChange> out;
   // Removed or updated stanzas.
-  for (const auto& s : before.stanzas()) {
-    const Stanza* other = after.find(s.type, s.name);
-    if (other == nullptr) {
-      out.push_back(StanzaChange{s.type, normalize_type(s.type), s.name, ChangeKind::kRemoved,
-                                 static_cast<int>(s.options.size())});
-    } else if (!(s == *other)) {
-      out.push_back(StanzaChange{s.type, normalize_type(s.type), s.name, ChangeKind::kUpdated,
-                                 options_delta(s, *other)});
-    }
-  }
+  for (const auto& s : before.stanzas())
+    if (auto c = stanza_change(&s, after.find(s.type, s.name))) out.push_back(std::move(*c));
   // Added stanzas.
-  for (const auto& s : after.stanzas()) {
-    if (before.find(s.type, s.name) == nullptr) {
-      out.push_back(StanzaChange{s.type, normalize_type(s.type), s.name, ChangeKind::kAdded,
-                                 static_cast<int>(s.options.size())});
-    }
-  }
+  for (const auto& s : after.stanzas())
+    if (before.find(s.type, s.name) == nullptr) out.push_back(*stanza_change(nullptr, &s));
   return out;
 }
 

@@ -7,6 +7,7 @@
 // type T occurred, where T is the stanza type."
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,12 +28,19 @@ struct StanzaChange {
   /// Number of option lines added+removed+modified (0 for pure
   /// adds/removes of empty stanzas; >=1 otherwise).
   int options_touched = 0;
+
+  friend bool operator==(const StanzaChange&, const StanzaChange&) = default;
 };
 
 /// Compute the stanza-level diff between `before` and `after`.
 /// Matching is by (native type, name); option-level comparison treats
 /// options as an ordered multiset keyed by `key`.
 std::vector<StanzaChange> diff(const DeviceConfig& before, const DeviceConfig& after);
+
+/// The change diff() records for one matched stanza pair: `before`
+/// null means added, `after` null means removed, and two unequal
+/// stanzas are an update. Nothing when they are equal.
+std::optional<StanzaChange> stanza_change(const Stanza* before, const Stanza* after);
 
 /// True if the two configs differ in at least one stanza — i.e. this
 /// snapshot pair counts as "a configuration change" (O1).

@@ -39,13 +39,14 @@ struct ProcFacts {
   std::string region;                    // MSTP region
 };
 
-std::vector<ProcFacts> gather_facts(const std::vector<DeviceConfig>& network) {
+std::vector<ProcFacts> gather_facts(const std::vector<const DeviceConfig*>& network) {
   std::vector<ProcFacts> out;
-  for (const auto& dev : network) {
+  for (const DeviceConfig* cfg : network) {
+    const DeviceConfig& dev = *cfg;
     // Device interface addresses, shared by every process on the device.
     std::set<std::uint32_t> addrs;
     for (const auto& s : dev.stanzas()) {
-      if (normalize_type(s.type) != "interface") continue;
+      if (agnostic_type(s.type) != "interface") continue;
       for (const auto& o : s.options) {
         if (o.key == "ip address" || o.key == "ip-address") {
           if (const auto p = parse_prefix(o.value)) addrs.insert(p->addr);
@@ -53,22 +54,19 @@ std::vector<ProcFacts> gather_facts(const std::vector<DeviceConfig>& network) {
       }
     }
     for (const auto& s : dev.stanzas()) {
-      const std::string agnostic = normalize_type(s.type);
+      const std::string_view agnostic = agnostic_type(s.type);
       if (agnostic == "router") {
         const auto constructs = constructs_of(s.type);
         if (constructs.empty()) continue;
         ProcFacts f;
         f.proc = RoutingProcess{dev.device_id(), constructs[0], s.name};
         f.local_addrs = addrs;
-        for (const auto& v : s.get_all("neighbor")) {
-          const auto tokens = split_ws(v);
-          if (tokens.empty()) continue;
-          if (const auto ip = parse_ipv4(tokens[0])) f.neighbor_ips.insert(*ip);
-        }
-        for (const auto& v : s.get_all("network")) {
-          const auto tokens = split_ws(v);
-          if (tokens.empty()) continue;
-          if (const auto p = parse_prefix(tokens[0])) f.subnets.insert(p->subnet());
+        for (const auto& o : s.options) {
+          if (o.key == "neighbor") {
+            if (const auto ip = parse_ipv4(first_token(o.value))) f.neighbor_ips.insert(*ip);
+          } else if (o.key == "network") {
+            if (const auto p = parse_prefix(first_token(o.value))) f.subnets.insert(p->subnet());
+          }
         }
         out.push_back(std::move(f));
       } else if (agnostic == "spanning-tree") {
@@ -102,15 +100,26 @@ bool adjacent(const ProcFacts& a, const ProcFacts& b) {
   return false;
 }
 
+std::vector<const DeviceConfig*> borrow(const std::vector<DeviceConfig>& network) {
+  std::vector<const DeviceConfig*> out;
+  out.reserve(network.size());
+  for (const auto& dev : network) out.push_back(&dev);
+  return out;
+}
+
 }  // namespace
 
 std::vector<RoutingProcess> extract_processes(const std::vector<DeviceConfig>& network) {
   std::vector<RoutingProcess> out;
-  for (auto& f : gather_facts(network)) out.push_back(std::move(f.proc));
+  for (auto& f : gather_facts(borrow(network))) out.push_back(std::move(f.proc));
   return out;
 }
 
 std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceConfig>& network) {
+  return routing_instances_of(borrow(network));
+}
+
+std::vector<RoutingInstance> routing_instances_of(const std::vector<const DeviceConfig*>& network) {
   const auto facts = gather_facts(network);
   UnionFind uf(facts.size());
   for (std::size_t i = 0; i < facts.size(); ++i)

@@ -42,6 +42,9 @@ std::vector<RoutingProcess> extract_processes(const std::vector<DeviceConfig>& n
 /// Group processes into instances via union-find over adjacency.
 std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceConfig>& network);
 
+/// extract_routing_instances() over configs held by reference.
+std::vector<RoutingInstance> routing_instances_of(const std::vector<const DeviceConfig*>& network);
+
 /// Count and mean size of a protocol's instances (D5 metrics).
 struct InstanceStats {
   int count = 0;

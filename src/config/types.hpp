@@ -18,6 +18,10 @@ namespace mpa {
 /// types map to themselves, so new constructs degrade gracefully.
 std::string normalize_type(std::string_view native_type);
 
+/// normalize_type() without the copy: a view of a static name, or of
+/// `native_type` itself when the type is unknown.
+std::string_view agnostic_type(std::string_view native_type);
+
 /// True if the agnostic type is a middlebox-specific construct
 /// (load-balancer pools and virtual servers, firewall ACL terms live on
 /// firewalls too but are not middlebox-exclusive).

@@ -26,20 +26,10 @@ double normalized_pair_entropy(const std::vector<const DeviceRecord*>& devices, 
   return h / std::log2(static_cast<double>(n));
 }
 
-}  // namespace
-
-double hardware_entropy(const std::vector<const DeviceRecord*>& devices) {
-  return normalized_pair_entropy(devices, [](const DeviceRecord& d) { return d.model; });
-}
-
-double firmware_entropy(const std::vector<const DeviceRecord*>& devices) {
-  return normalized_pair_entropy(devices, [](const DeviceRecord& d) { return d.firmware; });
-}
-
-ProtocolUsage count_protocols(const std::vector<DeviceConfig>& configs) {
+ProtocolUsage protocols_of(const std::vector<const DeviceConfig*>& configs) {
   std::set<std::string> l2, l3;
-  for (const auto& cfg : configs) {
-    for (const auto& s : cfg.stanzas()) {
+  for (const DeviceConfig* cfg : configs) {
+    for (const auto& s : cfg->stanzas()) {
       for (const auto& construct : constructs_of(s.type)) {
         switch (layer_of(construct)) {
           case PlaneLayer::kL2: l2.insert(construct); break;
@@ -52,17 +42,52 @@ ProtocolUsage count_protocols(const std::vector<DeviceConfig>& configs) {
   return ProtocolUsage{static_cast<int>(l2.size()), static_cast<int>(l3.size())};
 }
 
-int count_vlans(const std::vector<DeviceConfig>& configs) {
+int vlans_of(const std::vector<const DeviceConfig*>& configs) {
   std::set<std::string> vlans;
-  for (const auto& cfg : configs)
-    for (const auto& s : cfg.stanzas())
-      if (normalize_type(s.type) == "vlan") vlans.insert(s.name);
+  for (const DeviceConfig* cfg : configs)
+    for (const auto& s : cfg->stanzas())
+      if (agnostic_type(s.type) == "vlan") vlans.insert(s.name);
   return static_cast<int>(vlans.size());
 }
+
+std::vector<const DeviceConfig*> borrow(const std::vector<DeviceConfig>& configs) {
+  std::vector<const DeviceConfig*> out;
+  out.reserve(configs.size());
+  for (const auto& cfg : configs) out.push_back(&cfg);
+  return out;
+}
+
+}  // namespace
+
+double hardware_entropy(const std::vector<const DeviceRecord*>& devices) {
+  return normalized_pair_entropy(devices, [](const DeviceRecord& d) { return d.model; });
+}
+
+double firmware_entropy(const std::vector<const DeviceRecord*>& devices) {
+  return normalized_pair_entropy(devices, [](const DeviceRecord& d) { return d.firmware; });
+}
+
+ProtocolUsage count_protocols(const std::vector<DeviceConfig>& configs) {
+  return protocols_of(borrow(configs));
+}
+
+int count_vlans(const std::vector<DeviceConfig>& configs) { return vlans_of(borrow(configs)); }
 
 void compute_design_metrics(const NetworkRecord& net,
                             const std::vector<const DeviceRecord*>& devices,
                             const std::vector<DeviceConfig>& configs, Case& out) {
+  std::vector<RefFacts> facts;
+  facts.reserve(configs.size());
+  for (const auto& cfg : configs) facts.push_back(ref_facts(cfg));
+  std::vector<DeviceState> state;
+  state.reserve(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) state.push_back({&configs[i], &facts[i]});
+  compute_design_metrics(net, devices, state, out);
+}
+
+void compute_design_metrics(const NetworkRecord& net,
+                            const std::vector<const DeviceRecord*>& devices,
+                            const std::vector<DeviceState>& state, Case& out) {
   out[Practice::kNumWorkloads] = static_cast<double>(net.workloads.size());
   out[Practice::kNumDevices] = static_cast<double>(devices.size());
 
@@ -82,13 +107,22 @@ void compute_design_metrics(const NetworkRecord& net,
   out[Practice::kHardwareEntropy] = hardware_entropy(devices);
   out[Practice::kFirmwareEntropy] = firmware_entropy(devices);
 
-  const ProtocolUsage protos = count_protocols(configs);
+  std::vector<const DeviceConfig*> configs;
+  std::vector<const RefFacts*> refs;
+  configs.reserve(state.size());
+  refs.reserve(state.size());
+  for (const DeviceState& d : state) {
+    configs.push_back(d.config);
+    refs.push_back(d.refs);
+  }
+
+  const ProtocolUsage protos = protocols_of(configs);
   out[Practice::kNumL2Protocols] = protos.l2;
   out[Practice::kNumL3Protocols] = protos.l3;
   out[Practice::kNumProtocols] = protos.total();
-  out[Practice::kNumVlans] = count_vlans(configs);
+  out[Practice::kNumVlans] = vlans_of(configs);
 
-  const auto instances = extract_routing_instances(configs);
+  const auto instances = routing_instances_of(configs);
   const InstanceStats bgp = instance_stats(instances, "bgp");
   const InstanceStats ospf = instance_stats(instances, "ospf");
   out[Practice::kNumBgpInstances] = bgp.count;
@@ -96,7 +130,7 @@ void compute_design_metrics(const NetworkRecord& net,
   out[Practice::kAvgBgpInstanceSize] = bgp.mean_size;
   out[Practice::kAvgOspfInstanceSize] = ospf.mean_size;
 
-  const NetworkComplexity cx = referential_complexity(configs);
+  const NetworkComplexity cx = fold_referential_complexity(refs);
   out[Practice::kIntraDeviceComplexity] = cx.mean_intra;
   out[Practice::kInterDeviceComplexity] = cx.mean_inter;
 }

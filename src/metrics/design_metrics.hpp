@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "config/refs.hpp"
 #include "config/stanza.hpp"
 #include "metrics/case_table.hpp"
 #include "model/inventory.hpp"
@@ -40,5 +41,19 @@ int count_vlans(const std::vector<DeviceConfig>& configs);
 void compute_design_metrics(const NetworkRecord& net,
                             const std::vector<const DeviceRecord*>& devices,
                             const std::vector<DeviceConfig>& configs, Case& out);
+
+/// One device's config state, held by reference together with the
+/// reference facts taken from it (ref_facts(*config)), so a state
+/// shared by several months is analyzed once.
+struct DeviceState {
+  const DeviceConfig* config = nullptr;
+  const RefFacts* refs = nullptr;
+};
+
+/// compute_design_metrics() over borrowed device states; bit-identical
+/// to the overload above on the same configs.
+void compute_design_metrics(const NetworkRecord& net,
+                            const std::vector<const DeviceRecord*>& devices,
+                            const std::vector<DeviceState>& state, Case& out);
 
 }  // namespace mpa

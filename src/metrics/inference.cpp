@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
 #include "config/dialect.hpp"
+#include "config/refs.hpp"
+#include "config/stanza_table.hpp"
 #include "metrics/design_metrics.hpp"
 #include "metrics/lint_metrics.hpp"
 #include "util/parallel.hpp"
@@ -11,16 +14,40 @@
 namespace mpa {
 namespace {
 
-/// Parsed snapshot timeline of one device.
+/// Interned snapshot timeline of one device, plus its month-end state:
+/// the config, lint source and reference facts of the latest snapshot
+/// a month end selected, built once per selected snapshot.
 struct DeviceTimeline {
+  const ConfigSnapshot* snaps = nullptr;  ///< First snapshot of the parsed suffix.
+  Dialect dialect = Dialect::kIosLike;
   std::vector<Timestamp> times;
-  std::vector<DeviceConfig> configs;
-  std::vector<LintSource> sources;  ///< Spans + pragmas, per snapshot.
+  std::vector<StanzaId> ids;         ///< Every snapshot's stanza ids, concatenated.
+  std::vector<std::size_t> offsets;  ///< Snapshot i's ids: [offsets[i], offsets[i + 1]).
+
+  int state_idx = -1;
+  DeviceConfig config;
+  LintSource source;
+  RefFacts refs;
+
+  std::span<const StanzaId> ids_of(std::size_t i) const {
+    return std::span<const StanzaId>(ids).subspan(offsets[i], offsets[i + 1] - offsets[i]);
+  }
 
   /// Index of the last snapshot strictly before `t`, or -1.
   int state_before(Timestamp t) const {
     const auto it = std::lower_bound(times.begin(), times.end(), t);
     return static_cast<int>(it - times.begin()) - 1;
+  }
+
+  /// Make snapshot `idx` the month-end state. Month ends only move
+  /// forward, so each snapshot is materialized at most once.
+  void select(int idx, const StanzaTable& table, const std::string& device_id) {
+    if (idx == state_idx) return;
+    const auto i = static_cast<std::size_t>(idx);
+    config = table.config(ids_of(i), device_id);
+    source = LintSource::scan(snaps[i].text, dialect);
+    refs = ref_facts(config);
+    state_idx = idx;
   }
 };
 
@@ -29,14 +56,18 @@ struct DeviceTimeline {
 /// network, and the concatenation in inventory order is byte-identical
 /// to the serial loop.
 ///
+/// Every snapshot is interned into one StanzaTable owned by this call,
+/// so each distinct stanza chunk is parsed once and consecutive
+/// snapshots are diffed by stanza id.
+///
 /// With first_month > 0 only the per-device snapshot *suffix* from the
-/// last snapshot strictly before the window is parsed and diffed — the
-/// carry-in snapshot supplies every earlier config state a month-end
-/// lookup inside the window can resolve to, and every change record
-/// the window's months select survives (change i pairs snapshots
-/// (i-1, i), and snapshot i is inside the suffix exactly when its time
-/// is >= month_start(first_month)). This is what makes append_month
-/// O(delta) instead of O(history).
+/// last snapshot strictly before the window is interned and diffed —
+/// the carry-in snapshot supplies every earlier config state a
+/// month-end lookup inside the window can resolve to, and every change
+/// record the window's months select survives (change i pairs
+/// snapshots (i-1, i), and snapshot i is inside the suffix exactly when
+/// its time is >= month_start(first_month)). This is what makes
+/// append_month O(delta) instead of O(history).
 std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory& inventory,
                                       const SnapshotStore& snapshots, const TicketLog& tickets,
                                       const InferenceOptions& opts, int first_month) {
@@ -46,15 +77,15 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
   std::map<std::string, Role> device_roles;
   for (const auto* d : devices) device_roles[d->device_id] = d->role;
 
-  // Parse each device's snapshot archive once (only the suffix that
+  // Intern each device's snapshot archive once (only the suffix that
   // can influence the requested months); derive both the monthly
   // config states and the change stream from it.
+  StanzaTable table;
   std::map<std::string, DeviceTimeline> timelines;
   std::vector<ChangeRecord> changes;
   for (const auto* d : devices) {
     const auto& snaps = snapshots.for_device(d->device_id);
     if (snaps.empty()) continue;
-    const Dialect dialect = dialect_of(d->vendor);
     std::size_t begin = 0;
     if (first_month > 0) {
       // Last snapshot strictly before the window (carry-in state);
@@ -66,15 +97,18 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
       begin = before > 0 ? before - 1 : 0;
     }
     DeviceTimeline tl;
+    tl.snaps = &snaps[begin];
+    tl.dialect = dialect_of(d->vendor);
     tl.times.reserve(snaps.size() - begin);
-    tl.configs.reserve(snaps.size() - begin);
+    tl.offsets.reserve(snaps.size() - begin + 1);
+    tl.offsets.push_back(0);
     for (std::size_t i = begin; i < snaps.size(); ++i) {
       tl.times.push_back(snaps[i].time);
-      tl.configs.push_back(parse(snaps[i].text, dialect, d->device_id));
-      tl.sources.push_back(LintSource::scan(snaps[i].text, dialect));
+      table.intern(snaps[i].text, tl.dialect, tl.ids);
+      tl.offsets.push_back(tl.ids.size());
     }
-    for (std::size_t i = 1; i < tl.configs.size(); ++i) {
-      auto stanza_changes = diff(tl.configs[i - 1], tl.configs[i]);
+    for (std::size_t i = 1; i < tl.times.size(); ++i) {
+      auto stanza_changes = table.diff(tl.ids_of(i - 1), tl.ids_of(i));
       if (stanza_changes.empty()) continue;
       ChangeRecord cr;
       cr.device_id = d->device_id;
@@ -98,6 +132,8 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
 
   std::vector<Case> rows;
   rows.reserve(static_cast<std::size_t>(opts.num_months - first_month));
+  std::vector<DeviceState> state;
+  std::vector<LintInput> lint_inputs;
   for (int m = first_month; m < opts.num_months; ++m) {
     const Timestamp m_start = month_start(m);
     const Timestamp m_end = month_start(m + 1);
@@ -107,16 +143,14 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     row.month = m;
 
     // Design metrics from the configuration state at month end.
-    std::vector<DeviceConfig> state;
-    std::vector<LintInput> lint_inputs;
-    state.reserve(timelines.size());
-    lint_inputs.reserve(timelines.size());
-    for (const auto& [dev_id, tl] : timelines) {
+    state.clear();
+    lint_inputs.clear();
+    for (auto& [dev_id, tl] : timelines) {
       const int idx = tl.state_before(m_end);
       if (idx < 0) continue;
-      state.push_back(tl.configs[static_cast<std::size_t>(idx)]);
-      lint_inputs.push_back(LintInput{&tl.configs[static_cast<std::size_t>(idx)],
-                                      &tl.sources[static_cast<std::size_t>(idx)]});
+      tl.select(idx, table, dev_id);
+      state.push_back(DeviceState{&tl.config, &tl.refs});
+      lint_inputs.push_back(LintInput{&tl.config, &tl.source});
     }
     compute_design_metrics(net, devices, state, row);
 

@@ -82,6 +82,14 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+std::string_view first_token(std::string_view s) {
+  std::size_t b = 0;
+  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  std::size_t e = b;
+  while (e < s.size() && !std::isspace(static_cast<unsigned char>(s[e]))) ++e;
+  return s.substr(b, e - b);
+}
+
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

@@ -29,6 +29,10 @@ std::vector<std::string_view> split_ws_views(std::string_view s);
 /// Strip leading and trailing whitespace.
 std::string_view trim(std::string_view s);
 
+/// The first whitespace-delimited token of `s` (empty if none): the
+/// first element of split_ws(s), without building the rest.
+std::string_view first_token(std::string_view s);
+
 /// Join `parts` with `sep` between elements.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 

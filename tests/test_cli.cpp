@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "case_dir.hpp"
 #include "util/json.hpp"
 
 namespace mpa {
@@ -54,11 +55,15 @@ std::string slurp(const std::string& path) {
 
 bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
 
-/// One small shared dataset, generated by the binary itself on first
-/// use (which also smoke-tests `generate`).
+/// One small shared dataset, read-only for every case. Under ctest the
+/// cli_dataset fixture generates it once before any case runs (which
+/// also smoke-tests `generate`); a direct run of the test binary
+/// generates it into the first case's own directory.
 const std::string& dataset_dir() {
   static const std::string dir = [] {
-    const std::string d = testing::TempDir() + "mpa_cli_test_ds";
+    if (file_exists(std::string(MPA_CLI_TEST_DATASET) + "/tickets.csv"))
+      return std::string(MPA_CLI_TEST_DATASET);
+    const std::string d = case_dir() + "ds";
     const CliResult gen = run_cli("generate " + d + " --networks 6 --months 3 --seed 5");
     EXPECT_EQ(gen.exit_code, 0) << gen.out;
     return d;
@@ -67,7 +72,7 @@ const std::string& dataset_dir() {
 }
 
 TEST(Cli, ObservabilityRoundTrip) {
-  const std::string tmp = testing::TempDir();
+  const std::string tmp = case_dir();
   const std::string manifest = tmp + "cli_manifest.json";
   const std::string log = tmp + "cli_log.jsonl";
   const std::string chrome = tmp + "cli_chrome.json";
@@ -119,7 +124,7 @@ TEST(Cli, ObservabilityRoundTrip) {
 }
 
 TEST(Cli, FailedRunStillWritesExports) {
-  const std::string tmp = testing::TempDir();
+  const std::string tmp = case_dir();
   const std::string metrics = tmp + "cli_fail_metrics.json";
   const std::string log = tmp + "cli_fail_log.jsonl";
   const std::string spans = tmp + "cli_fail_spans.json";
@@ -142,7 +147,7 @@ TEST(Cli, FailedRunStillWritesExports) {
 }
 
 TEST(Cli, LintFailOnGateWritesExports) {
-  const std::string metrics = testing::TempDir() + "cli_lint_metrics.json";
+  const std::string metrics = case_dir() + "cli_lint_metrics.json";
   const CliResult lint = run_cli("lint " + dataset_dir() + " --fail-on info --metrics-out " +
                                  metrics + " --out /dev/null");
   // Exit 3 when the generated configs carry any finding, 0 otherwise;
@@ -155,7 +160,7 @@ TEST(Cli, LintFailOnGateWritesExports) {
 // ---- mpac columnar format: generate/convert/verify plumbing ----
 
 TEST(Cli, ConvertRoundTripAndVerify) {
-  const std::string tmp = testing::TempDir();
+  const std::string tmp = case_dir();
   const std::string mpac = tmp + "cli_mpac_ds";
   const std::string csv2 = tmp + "cli_mpac_back";
 
@@ -180,7 +185,7 @@ TEST(Cli, ConvertRoundTripAndVerify) {
 }
 
 TEST(Cli, GenerateMpacStreamsIdenticalDataset) {
-  const std::string tmp = testing::TempDir();
+  const std::string tmp = case_dir();
   const std::string streamed = tmp + "cli_mpac_gen";
   const std::string converted = tmp + "cli_mpac_conv";
 
@@ -200,7 +205,7 @@ TEST(Cli, GenerateMpacStreamsIdenticalDataset) {
 }
 
 TEST(Cli, ConvertVerifyFlagValidation) {
-  const std::string tmp = testing::TempDir();
+  const std::string tmp = case_dir();
   // Usage errors (exit 2): missing --out, bad format, unknown flag.
   EXPECT_EQ(run_cli("convert " + dataset_dir()).exit_code, 2);
   EXPECT_EQ(run_cli("generate " + tmp + "g --format parquet").exit_code, 2);
@@ -219,7 +224,7 @@ TEST(Cli, DatasetPathErrorsNameTheMissingPiece) {
       << missing_dir.out;
 
   // A directory with one file gone names that file.
-  const std::string broken = testing::TempDir() + "cli_broken_ds";
+  const std::string broken = case_dir() + "cli_broken_ds";
   const CliResult gen = run_cli("generate " + broken + " --networks 2 --months 2 --seed 9");
   ASSERT_EQ(gen.exit_code, 0) << gen.out;
   std::remove((broken + "/tickets.csv").c_str());
@@ -243,7 +248,7 @@ TEST(Cli, UnknownLogLevelIsUsageError) {
 
 /// Like run_cli, but feeds `input` to the subprocess on stdin.
 CliResult run_cli_stdin(const std::string& input, const std::string& args) {
-  const std::string infile = testing::TempDir() + "cli_stdin.jsonl";
+  const std::string infile = case_dir() + "cli_stdin.jsonl";
   {
     std::ofstream f(infile);
     f << input;
@@ -278,7 +283,7 @@ TEST(Cli, ServeBadRequestLineExitsNonZero) {
 }
 
 TEST(Cli, ReplaySingleWorkerResponsesAreByteIdentical) {
-  const std::string tmp = testing::TempDir();
+  const std::string tmp = case_dir();
   const std::string first = tmp + "cli_replay_r1.jsonl";
   const std::string second = tmp + "cli_replay_r2.jsonl";
   const std::string trace = tmp + "cli_replay_trace.jsonl";
@@ -304,7 +309,7 @@ TEST(Cli, ReplaySingleWorkerResponsesAreByteIdentical) {
 }
 
 TEST(Cli, ReplayExportsServeMetrics) {
-  const std::string metrics = testing::TempDir() + "cli_replay_metrics.json";
+  const std::string metrics = case_dir() + "cli_replay_metrics.json";
   const CliResult res = run_cli("replay " + dataset_dir() +
                                 " --requests 4 --seed 1 --metrics-out " + metrics);
   ASSERT_EQ(res.exit_code, 0) << res.out;
@@ -316,7 +321,7 @@ TEST(Cli, ReplayExportsServeMetrics) {
 }
 
 TEST(Cli, ServeAnswersIntrospectionAndFlushesWindowExports) {
-  const std::string tmp = testing::TempDir();
+  const std::string tmp = case_dir();
   const std::string window = tmp + "cli_serve_window.json";
   const std::string canonical = tmp + "cli_serve_window_canonical.json";
   const CliResult res = run_cli_stdin(
@@ -365,7 +370,7 @@ TEST(Cli, ServeAnswersIntrospectionAndFlushesWindowExports) {
 }
 
 TEST(Cli, ServeErrorExitStillFlushesWindowExports) {
-  const std::string tmp = testing::TempDir();
+  const std::string tmp = case_dir();
   const std::string window = tmp + "cli_serve_err_window.json";
   const std::string metrics = tmp + "cli_serve_err_metrics.json";
   const CliResult res = run_cli_stdin(
@@ -389,7 +394,7 @@ TEST(Cli, TopRendersStatsResponsesFromStdin) {
   const std::string input =
       R"({"id":9,"kind":"rank","status":"ok","body":"noise"})" "\n"
       R"({"id":1,"kind":"stats","status":"ok","body":"{\"stats\":{\"submitted\":4,\"admitted\":2,\"rejected\":1,\"completed\":3,\"ok\":2,\"deadline_misses\":0,\"errors\":0,\"introspected\":1,\"queue_depth\":1,\"workers\":2},\"sessions\":[\"main\"],\"window\":null,\"slow\":[]}"})" "\n";
-  const std::string infile = testing::TempDir() + "cli_top_stdin.jsonl";
+  const std::string infile = case_dir() + "cli_top_stdin.jsonl";
   {
     std::ofstream f(infile);
     f << input;
@@ -411,7 +416,7 @@ TEST(Cli, TopRendersStatsResponsesFromStdin) {
 }
 
 TEST(Cli, ReplaySloReportWritesAttainmentJson) {
-  const std::string report = testing::TempDir() + "cli_slo_report.json";
+  const std::string report = case_dir() + "cli_slo_report.json";
   const CliResult res =
       run_cli("replay " + dataset_dir() +
               " --requests 4 --seed 1 --workers 2 --tenants 2 --slo-ms 60000 --slo-report " +
@@ -432,7 +437,7 @@ TEST(Cli, ReplaySloReportWritesAttainmentJson) {
 }
 
 TEST(Cli, ReplayLoadSweepReportsSaturationKnee) {
-  const std::string report = testing::TempDir() + "cli_slo_sweep.json";
+  const std::string report = case_dir() + "cli_slo_sweep.json";
   const CliResult res = run_cli("replay " + dataset_dir() +
                                 " --requests 3 --seed 2 --loads 50,100 --slo-ms 60000"
                                 " --slo-report " + report);

@@ -10,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "case_dir.hpp"
 #include "engine/session.hpp"
 #include "io/dataset_io.hpp"
 #include "obs/metrics.hpp"
@@ -202,7 +203,7 @@ TEST(Session, LintFindingsResolveSpans) {
 
 TEST(Session, PersistsLintReportThroughArtifactStore) {
   SessionOptions opts;
-  opts.artifact_dir = testing::TempDir();
+  opts.artifact_dir = case_dir();
   opts.artifact_key = "mpa_engine_test_lint";
   ArtifactStore(opts.artifact_dir).remove(opts.artifact_key);
 
@@ -221,7 +222,7 @@ TEST(Session, PersistsLintReportThroughArtifactStore) {
 }
 
 TEST(ArtifactStore, LintReportRoundTripAndCorruptionMiss) {
-  const std::string dir = testing::TempDir();
+  const std::string dir = case_dir();
   const ArtifactStore store(dir);
   const std::string key = "mpa_engine_test_lint_artifact";
   store.remove(key);
@@ -250,7 +251,7 @@ TEST(ArtifactStore, DisabledStoreMissesAndIgnoresSaves) {
 }
 
 TEST(ArtifactStore, RoundTripsAndTreatsCorruptionAsMiss) {
-  const std::string dir = testing::TempDir();
+  const std::string dir = case_dir();
   const ArtifactStore store(dir);
   const std::string key = "mpa_engine_test_artifact";
   store.remove(key);
@@ -273,7 +274,7 @@ TEST(ArtifactStore, RoundTripsAndTreatsCorruptionAsMiss) {
 
 TEST(Session, PersistsCaseTableThroughArtifactStore) {
   SessionOptions opts;
-  opts.artifact_dir = testing::TempDir();
+  opts.artifact_dir = case_dir();
   opts.artifact_key = "mpa_engine_test_session";
   ArtifactStore(opts.artifact_dir).remove(opts.artifact_key);
 
@@ -359,7 +360,7 @@ TEST(RunManifest, JsonRoundTrip) {
 
 TEST(RunManifest, KeyedSessionPersistsManifestBesideArtifacts) {
   SessionOptions opts;
-  opts.artifact_dir = testing::TempDir();
+  opts.artifact_dir = case_dir();
   opts.artifact_key = "mpa_engine_test_manifest";
   const ArtifactStore store(opts.artifact_dir);
   store.remove(opts.artifact_key);
@@ -578,7 +579,7 @@ TEST(SessionAppend, RejectsInvalidDeltasAndLeavesSessionUnchanged) {
 
 TEST(SessionAppend, KeyedSessionMaintainsPersistedArtifacts) {
   SessionOptions opts;
-  opts.artifact_dir = testing::TempDir();
+  opts.artifact_dir = case_dir();
   opts.artifact_key = "mpa_engine_test_append_store";
   const ArtifactStore store(opts.artifact_dir);
   store.remove(opts.artifact_key);
@@ -605,7 +606,7 @@ TEST(SessionAppend, KeyedSessionMaintainsPersistedArtifacts) {
 
 TEST(Session, InvalidateRemovesManifestAndLintSidecars) {
   SessionOptions opts;
-  opts.artifact_dir = testing::TempDir();
+  opts.artifact_dir = case_dir();
   opts.artifact_key = "mpa_engine_test_sidecars";
   const ArtifactStore store(opts.artifact_dir);
   store.remove(opts.artifact_key);

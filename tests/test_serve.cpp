@@ -6,6 +6,10 @@
 // a fixed trace replayed on one worker is byte-identical run to run,
 // and the (id, kind, status, body) responses plus the canonical event
 // stream are identical at 1, 2, and 8 workers.
+//
+// srclint-disable-file(mutex-annotation): the test-side gates and
+// recorders below use std primitives; the capability analysis covers
+// the library code they drive.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "case_dir.hpp"
 #include "util/json.hpp"
 
 namespace mpa {
@@ -43,7 +44,7 @@ LintResult run_srclint(const std::string& args) {
 /// A fresh fixture tree per test; `put` creates parent dirs as needed.
 class Fixture {
  public:
-  explicit Fixture(const std::string& name) : root_(fs::path(testing::TempDir()) / name) {
+  explicit Fixture(const std::string& name) : root_(fs::path(case_dir()) / name) {
     fs::remove_all(root_);
     fs::create_directories(root_);
   }
@@ -276,11 +277,34 @@ TEST(Srclint, ExitCodesAndUsage) {
   EXPECT_NE(rules.out.find("mutex-annotation"), std::string::npos);
 }
 
+TEST(Srclint, TempDirLiteralFlaggedInTests) {
+  Fixture fx("srclint_tempdir");
+  fx.put("tests/test_bad.cpp",
+         "const std::string ds = testing::TempDir() + \"shared_ds\";\n"
+         "const std::string out = testing::TempDir()+\"out.json\";\n"
+         "const auto p = fs::path(testing::TempDir()) / \"fixture\";\n");
+  const LintResult res = run_srclint(fx.root());
+  EXPECT_EQ(res.exit_code, 1);
+  EXPECT_EQ(count_rule(res.out, "tempdir-literal"), 3) << res.out;
+
+  // Per-case directories, computed names, comments and text inside
+  // string literals are all fine.
+  Fixture clean("srclint_tempdir_clean");
+  clean.put("tests/test_ok.cpp",
+            "const std::string a = case_dir() + \"out.json\";\n"
+            "const std::string b = testing::TempDir() + name;\n"
+            "// never write testing::TempDir() + \"x\"\n"
+            "const char* s = \"TempDir() + \\\"x\\\"\";\n");
+  const LintResult ok = run_srclint(clean.root());
+  EXPECT_EQ(ok.exit_code, 0) << ok.out;
+}
+
 TEST(Srclint, RepoTreeIsClean) {
   // The acceptance pin: the live tree lints clean. Mirrors the
   // srclint_repo ctest entry and the CI job.
   const std::string roots = std::string(SRCLINT_SOURCE_DIR) + "/src " +
-                            SRCLINT_SOURCE_DIR + "/tools " + SRCLINT_SOURCE_DIR + "/bench";
+                            SRCLINT_SOURCE_DIR + "/tools " + SRCLINT_SOURCE_DIR + "/bench " +
+                            SRCLINT_SOURCE_DIR + "/tests";
   const LintResult res = run_srclint(roots);
   EXPECT_EQ(res.exit_code, 0) << res.out;
 }

@@ -35,6 +35,12 @@
 //                         least one capability annotation
 //                         (GUARDED_BY / REQUIRES / ACQUIRE / ...) in
 //                         the same file.
+//   tempdir-literal       a string literal appended to
+//                         testing::TempDir() names one file shared by
+//                         every test case, and ctest runs cases as
+//                         parallel processes: they clobber each
+//                         other's files. Tests write under their own
+//                         case_dir() (tests/case_dir.hpp).
 //   bad-pragma            a srclint-disable pragma that names no rule
 //                         or gives no reason is itself a finding —
 //                         suppressions are documented decisions.
@@ -110,6 +116,7 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"layering", "src/ layer includes must follow the allowed DAG"},
       {"raw-output", "no std::cout/printf/puts in src/ libraries"},
       {"mutex-annotation", "mutexes are annotated mpa::Mutex capabilities, never raw"},
+      {"tempdir-literal", "no string literal appended to testing::TempDir() (use case_dir())"},
       {"bad-pragma", "srclint-disable pragmas must name a rule and a reason"},
   };
   return rules;
@@ -168,11 +175,9 @@ std::string strip_noise(const std::string& line) {
   return out;
 }
 
-/// The text after the first `//` that is not inside a string literal
-/// ("" when the line has no comment). Pragmas live only in comments,
-/// and only at the start of one — mentions in prose or string
-/// literals are not pragmas.
-std::string comment_text(const std::string& line) {
+/// Where the first `//` that is not inside a string literal starts
+/// (npos when the line has no comment).
+std::size_t comment_start(const std::string& line) {
   bool in_str = false;
   char quote = 0;
   for (std::size_t i = 0; i < line.size(); ++i) {
@@ -190,9 +195,18 @@ std::string comment_text(const std::string& line) {
       quote = c;
       continue;
     }
-    if (c == '/' && i + 1 < line.size() && line[i + 1] == '/') return line.substr(i + 2);
+    if (c == '/' && i + 1 < line.size() && line[i + 1] == '/') return i;
   }
-  return "";
+  return std::string::npos;
+}
+
+/// The text after the first `//` that is not inside a string literal
+/// ("" when the line has no comment). Pragmas live only in comments,
+/// and only at the start of one — mentions in prose or string
+/// literals are not pragmas.
+std::string comment_text(const std::string& line) {
+  const std::size_t at = comment_start(line);
+  return at == std::string::npos ? "" : line.substr(at + 2);
 }
 
 struct Pragmas {
@@ -217,6 +231,7 @@ class FileScan {
     scan_layering(layer);
     scan_raw_output(in_src);
     scan_mutex_annotation(in_src);
+    scan_tempdir_literal();
     return std::move(findings_);
   }
 
@@ -387,6 +402,19 @@ class FileScan {
                "Mutex '" + name +
                    "' backs no capability annotation in this file; add GUARDED_BY/REQUIRES/"
                    "EXCLUDES (or a pragma explaining why none applies)");
+    }
+  }
+
+  void scan_tempdir_literal() {
+    // TempDir() + "name", or fs::path(TempDir()) / "name", in code
+    // (string literals keep their quotes here; comments are cut off).
+    static const std::regex literal(R"(\bTempDir\s*\(\s*\)\s*\)?\s*[+/]\s*")");
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      const std::string code = lines_[i].substr(0, comment_start(lines_[i]));
+      if (std::regex_search(code, literal))
+        report(i + 1, "tempdir-literal",
+               "string literal appended to TempDir() is one path shared by every test case; "
+               "parallel cases clobber it. Use case_dir() (tests/case_dir.hpp)");
     }
   }
 
