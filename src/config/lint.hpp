@@ -35,6 +35,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "config/addr.hpp"
@@ -192,10 +193,11 @@ std::vector<Diagnostic> lint_device(const DeviceConfig& config, const LintOption
 std::vector<Diagnostic> lint_network(const std::vector<DeviceConfig>& network,
                                      const LintOptions& opts = {});
 
-/// Raw dialect text of one device, for span-resolving runs.
+/// Raw dialect text of one device, for span-resolving runs. The text
+/// is a view: the caller keeps the bytes alive for the lint call.
 struct DeviceText {
   std::string device_id;
-  std::string text;
+  std::string_view text;
   Dialect dialect = Dialect::kIosLike;
 };
 

@@ -5,21 +5,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define MPA_HAVE_MMAP 1
-#endif
+#include "util/mapped_file.hpp"
 
 // The shard layout stores raw little-endian element arrays and the
 // readers reinterpret them in place; a big-endian port would need a
@@ -112,101 +104,7 @@ constexpr ColumnTag kAllTags[] = {
     ColumnTag::kConfigBlob,
 };
 
-void write_binary_file(const fs::path& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  require_data(static_cast<bool>(out), "mpac: cannot open " + path.string() + " for writing");
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out.flush();
-  require_data(static_cast<bool>(out), "mpac: write failed for " + path.string());
-}
-
-std::string read_text_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  require_data(static_cast<bool>(in), "mpac: cannot open " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// MappedFile
-
-MappedFile::MappedFile(const std::string& path) {
-#ifdef MPA_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  require_data(fd >= 0, "mpac: cannot open " + path);
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw DataError("mpac: cannot stat " + path);
-  }
-  size_ = static_cast<std::size_t>(st.st_size);
-  if (size_ == 0) {
-    ::close(fd);
-    return;
-  }
-  void* addr = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (addr != MAP_FAILED) {
-    data_ = static_cast<const std::byte*>(addr);
-    mapped_ = true;
-    return;
-  }
-  // mmap can fail on exotic filesystems; fall through to a plain read.
-#endif
-  std::ifstream in(path, std::ios::binary);
-  require_data(static_cast<bool>(in), "mpac: cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const auto n = static_cast<std::size_t>(in.tellg());
-  in.seekg(0);
-  fallback_.resize(n);
-  if (n > 0) in.read(reinterpret_cast<char*>(fallback_.data()), static_cast<std::streamsize>(n));
-  require_data(static_cast<bool>(in), "mpac: read failed for " + path);
-  data_ = fallback_.data();
-  size_ = n;
-  mapped_ = false;
-}
-
-void MappedFile::reset() noexcept {
-#ifdef MPA_HAVE_MMAP
-  if (mapped_ && data_ != nullptr)
-    ::munmap(const_cast<void*>(static_cast<const void*>(data_)), size_);
-#endif
-  data_ = nullptr;
-  size_ = 0;
-  mapped_ = false;
-  fallback_.clear();
-}
-
-MappedFile::~MappedFile() { reset(); }
-
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)) {
-  if (!mapped_ && data_ != nullptr) data_ = fallback_.data();
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    reset();
-    data_ = other.data_;
-    size_ = other.size_;
-    mapped_ = other.mapped_;
-    fallback_ = std::move(other.fallback_);
-    if (!mapped_ && data_ != nullptr) data_ = fallback_.data();
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.mapped_ = false;
-  }
-  return *this;
-}
 
 // ---------------------------------------------------------------------------
 // ColumnarWriter
@@ -305,7 +203,7 @@ void ColumnarWriter::add_snapshot(const ConfigSnapshot& snap) {
   buf_->snap_device.push_back(dict_code(snap.device_id));
   buf_->snap_time.push_back(snap.time);
   buf_->snap_login.push_back(dict_code(snap.login));
-  buf_->config_blob.append(snap.text);
+  buf_->config_blob.append(snap.text.view());
   buf_->snap_text_begin.push_back(buf_->config_blob.size());
   buf_->approx_bytes += 24 + snap.text.size();
   maybe_flush();
@@ -411,7 +309,7 @@ void ColumnarWriter::flush_shard() {
 
   char name[32];
   std::snprintf(name, sizeof name, "shard-%05zu.mpac", shards_.size());
-  write_binary_file(fs::path(dir_) / name, buf);
+  replace_file((fs::path(dir_) / name).string(), buf, "mpac");
 
   MpacShardInfo info;
   info.file = name;
@@ -455,7 +353,7 @@ MpacTotals ColumnarWriter::finish() {
        << ",\"snapshots\":" << s.snapshots << '}';
   }
   os << (shards_.empty() ? "]\n" : "\n  ]\n") << "}\n";
-  write_binary_file(fs::path(dir_) / kMpacManifestName, os.str());
+  replace_file((fs::path(dir_) / kMpacManifestName).string(), os.str(), "mpac");
   return totals_;
 }
 
@@ -637,7 +535,7 @@ void save_columnar(const DiskDataset& data, const std::string& dir, ColumnarWrit
 ColumnarDataset load_columnar(const std::string& dir) {
   const fs::path base(dir);
   const fs::path manifest_path = base / kMpacManifestName;
-  const std::string manifest_text = read_text_file(manifest_path);
+  const std::string manifest_text = read_file(manifest_path.string(), "mpac");
   const JsonValue doc = parse_json(manifest_text);
 
   require_data(doc.at("format").as_string() == "mpac", "mpac: manifest format is not mpac");
@@ -663,12 +561,12 @@ ColumnarDataset load_columnar(const std::string& dir) {
     info.tickets = s.at("tickets").as_u64();
     info.snapshots = s.at("snapshots").as_u64();
 
-    MappedFile map((base / info.file).string());
-    require_data(map.bytes().size() == info.bytes,
+    auto map = std::make_shared<const MappedFile>((base / info.file).string(), "mpac");
+    require_data(map->bytes().size() == info.bytes,
                  shard_err(info.file, "truncated shard (expected " + std::to_string(info.bytes) +
                                           " bytes, found " +
-                                          std::to_string(map.bytes().size()) + ")"));
-    ShardView view(map.bytes(), info.file, info.fingerprint);
+                                          std::to_string(map->bytes().size()) + ")"));
+    ShardView view(map->bytes(), info.file, info.fingerprint);
     require_data(view.num_networks() == info.networks && view.num_devices() == info.devices &&
                      view.num_tickets() == info.tickets && view.num_snapshots() == info.snapshots,
                  shard_err(info.file, "record counts disagree with manifest"));
@@ -782,7 +680,8 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
     }
   }
 
-  for (const ShardView& v : views_) {
+  for (std::size_t shard = 0; shard < views_.size(); ++shard) {
+    const ShardView& v = views_[shard];
     const auto devices = v.u32s(ColumnTag::kSnapDevice);
     const auto times = v.i64s(ColumnTag::kSnapTime);
     const auto logins = v.u32s(ColumnTag::kSnapLogin);
@@ -791,7 +690,7 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
       snap.device_id = std::string(v.dict(devices[i]));
       snap.time = times[i];
       snap.login = std::string(v.dict(logins[i]));
-      snap.text = std::string(v.config_text(i));
+      snap.text = SharedText(v.config_text(i), maps_[shard]);
       out.snapshots.add(std::move(snap));
     }
   }

@@ -60,6 +60,8 @@
 
 namespace mpa {
 
+class MappedFile;  // util/mapped_file.hpp
+
 inline constexpr std::uint32_t kMpacVersion = 1;
 inline constexpr char kMpacMagic[4] = {'M', 'P', 'A', 'C'};
 inline constexpr const char* kMpacManifestName = "mpac-manifest.json";
@@ -166,30 +168,6 @@ class ColumnarWriter {
   bool finished_ = false;
 };
 
-/// Read-only byte range backed by mmap when the platform provides it,
-/// falling back to a heap read otherwise. Move-only RAII.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path);
-  ~MappedFile();
-
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  std::span<const std::byte> bytes() const { return {data_, size_}; }
-  bool is_mapped() const { return mapped_; }
-
- private:
-  void reset() noexcept;
-
-  const std::byte* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool mapped_ = false;
-  std::vector<std::byte> fallback_;
-};
-
 /// A validated view over one shard's bytes. Construction checks the
 /// header, directory, fingerprint, column bounds/alignment, and offset
 /// arrays; accessors after that are zero-copy spans straight into the
@@ -243,7 +221,9 @@ class ShardView {
 };
 
 /// A loaded mpac dataset: the mapped shards plus manifest totals.
-/// Shard views stay valid for the lifetime of this object.
+/// Shard views stay valid for the lifetime of this object; the
+/// mappings themselves are shared, so snapshot text handed out by
+/// to_disk_dataset() keeps its shard mapped after this object is gone.
 class ColumnarDataset {
  public:
   const std::vector<ShardView>& shards() const { return views_; }
@@ -253,8 +233,10 @@ class ColumnarDataset {
   /// Manifest + shard bytes actually read (for load observability).
   std::uint64_t total_bytes() const { return bytes_read_; }
 
-  /// Compatibility path: materialize the classic in-memory containers.
-  /// Validates sequence order, enum codes, and ticket time sanity with
+  /// Materialize the classic in-memory containers. Ids and other
+  /// dictionary strings are copied; config text is not — each
+  /// snapshot's text views into its shard's mapping. Validates
+  /// sequence order, enum codes, and ticket time sanity with
   /// "mpac:"-prefixed errors; per-device snapshot order is enforced by
   /// SnapshotStore exactly as on the CSV path.
   DiskDataset to_disk_dataset() const;
@@ -262,7 +244,7 @@ class ColumnarDataset {
  private:
   friend ColumnarDataset load_columnar(const std::string& dir);
 
-  std::vector<MappedFile> maps_;
+  std::vector<std::shared_ptr<const MappedFile>> maps_;  ///< Parallel to views_.
   std::vector<ShardView> views_;
   std::vector<MpacShardInfo> infos_;
   MpacTotals totals_;

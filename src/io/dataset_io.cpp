@@ -4,33 +4,19 @@
 #include <cctype>
 #include <charconv>
 #include <filesystem>
-#include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "io/columnar.hpp"
 #include "telemetry/time.hpp"
 #include "util/error.hpp"
+#include "util/mapped_file.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  require_data(static_cast<bool>(in), "load_dataset: cannot open " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-void write_file(const fs::path& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  require_data(static_cast<bool>(out), "save_dataset: cannot open " + path.string());
-  out << content;
-  require_data(static_cast<bool>(out), "save_dataset: write failed for " + path.string());
-}
 
 // CSV field escaping: our ids/names never contain commas, but symptom
 // strings could; forbid rather than quote (keeps the format trivial).
@@ -87,13 +73,41 @@ void render_snapshot_record(std::ostream& os, const ConfigSnapshot& snap) {
   check_header_token(snap.device_id, "snapshot device_id");
   check_header_token(snap.login, "snapshot login");
   os << "@snapshot " << snap.device_id << ' ' << snap.time << ' ' << snap.login << ' '
-     << snap.text.size() << '\n'
-     << snap.text;
+     << snap.text.size() << '\n';
+  os.write(snap.text.data(), static_cast<std::streamsize>(snap.text.size()));
 }
 
-std::vector<ConfigSnapshot> parse_snapshot_log(const std::string& log) {
+// The whole of `path`, mapped: the handle owns the mapping.
+SharedText map_file(const std::string& path) {
+  auto file = std::make_shared<const MappedFile>(path, "load_dataset");
+  const std::string_view text = file->text();
+  return SharedText(text, std::move(file));
+}
+
+// Write `tickets` and `snapshots` the way both save paths do: each file
+// replaced by rename (a live session may have the old one mapped), and
+// snapshots.log streamed record by record rather than built in memory.
+template <typename Tickets, typename ForEachSnapshot>
+void save_tickets_and_snapshots(const fs::path& base, const char* who, const Tickets& tickets,
+                                ForEachSnapshot&& for_each_snapshot) {
+  {
+    std::ostringstream os;
+    os << "ticket_id,network_id,created,resolved,origin,symptom,devices\n";
+    for (const auto& t : tickets) render_ticket_row(os, t);
+    replace_file((base / "tickets.csv").string(), os.str(), who);
+  }
+  // snapshots.log — length-prefixed records so config text needs no
+  // escaping.
+  ReplaceFile log((base / "snapshots.log").string(), who);
+  for_each_snapshot([&](const ConfigSnapshot& snap) { render_snapshot_record(log.out(), snap); });
+  log.commit();
+}
+
+}  // namespace
+
+std::vector<ConfigSnapshot> parse_snapshot_log(const SharedText& log) {
   std::vector<ConfigSnapshot> out;
-  const std::string_view view(log);
+  const std::string_view view = log.view();
   std::size_t pos = 0;
   while (pos < view.size()) {
     const std::size_t eol = view.find('\n', pos);
@@ -108,7 +122,7 @@ std::vector<ConfigSnapshot> parse_snapshot_log(const std::string& log) {
     require_data(declared >= 0,
                  "snapshots.log: negative snapshot length in header: " + std::string(header));
     const auto length = static_cast<std::size_t>(declared);
-    require_data(eol + 1 + length <= view.size(), "snapshots.log: truncated body");
+    require_data(length <= view.size() - (eol + 1), "snapshots.log: truncated body");
     ConfigSnapshot snap;
     snap.device_id = std::string(tokens[1]);
     snap.time = parse_int(tokens[2], "snapshot time");
@@ -119,8 +133,6 @@ std::vector<ConfigSnapshot> parse_snapshot_log(const std::string& log) {
   }
   return out;
 }
-
-}  // namespace
 
 // snapshots.log headers are whitespace-delimited ("@snapshot <device>
 // <time> <login> <length>"), so a device_id or login containing
@@ -170,7 +182,7 @@ void save_dataset(const DiskDataset& data, const std::string& dir) {
       }
       os << net.network_id << ',' << join(wl, ";") << '\n';
     }
-    write_file(base / "networks.csv", os.str());
+    replace_file((base / "networks.csv").string(), os.str(), "save_dataset");
   }
 
   // devices.csv
@@ -184,26 +196,13 @@ void save_dataset(const DiskDataset& data, const std::string& dir) {
       os << d.device_id << ',' << d.network_id << ',' << to_string(d.vendor) << ',' << d.model
          << ',' << to_string(d.role) << ',' << d.firmware << '\n';
     }
-    write_file(base / "devices.csv", os.str());
+    replace_file((base / "devices.csv").string(), os.str(), "save_dataset");
   }
 
-  // tickets.csv
-  {
-    std::ostringstream os;
-    os << "ticket_id,network_id,created,resolved,origin,symptom,devices\n";
-    for (const auto& t : data.tickets.all()) render_ticket_row(os, t);
-    write_file(base / "tickets.csv", os.str());
-  }
-
-  // snapshots.log — length-prefixed records so config text needs no
-  // escaping.
-  {
-    std::ostringstream os;
+  save_tickets_and_snapshots(base, "save_dataset", data.tickets.all(), [&](const auto& emit) {
     for (const auto& device_id : data.snapshots.devices())
-      for (const auto& snap : data.snapshots.for_device(device_id))
-        render_snapshot_record(os, snap);
-    write_file(base / "snapshots.log", os.str());
-  }
+      for (const auto& snap : data.snapshots.for_device(device_id)) emit(snap);
+  });
 }
 
 DiskDataset load_dataset(const std::string& dir, std::uint64_t* bytes_read) {
@@ -231,7 +230,7 @@ DiskDataset load_dataset(const std::string& dir, std::uint64_t* bytes_read) {
   // networks.csv — fields are parsed as string_view slices of the file
   // buffer (one copy per stored string, none per intermediate field).
   {
-    const std::string text = read_file(base / "networks.csv");
+    const std::string text = read_file((base / "networks.csv").string(), "load_dataset");
     bytes += text.size();
     const auto lines = split_line_views(text);
     data.inventory.reserve(lines.size() > 1 ? lines.size() - 1 : 0, 0);
@@ -254,7 +253,7 @@ DiskDataset load_dataset(const std::string& dir, std::uint64_t* bytes_read) {
 
   // devices.csv
   {
-    const std::string text = read_file(base / "devices.csv");
+    const std::string text = read_file((base / "devices.csv").string(), "load_dataset");
     bytes += text.size();
     const auto lines = split_line_views(text);
     data.inventory.reserve(0, lines.size() > 1 ? lines.size() - 1 : 0);
@@ -275,7 +274,7 @@ DiskDataset load_dataset(const std::string& dir, std::uint64_t* bytes_read) {
 
   // tickets.csv
   {
-    const std::string text = read_file(base / "tickets.csv");
+    const std::string text = read_file((base / "tickets.csv").string(), "load_dataset");
     bytes += text.size();
     const auto lines = split_line_views(text);
     data.tickets.reserve(lines.size() > 1 ? lines.size() - 1 : 0);
@@ -285,11 +284,12 @@ DiskDataset load_dataset(const std::string& dir, std::uint64_t* bytes_read) {
     }
   }
 
-  // snapshots.log
+  // snapshots.log — mapped, and every snapshot's text is a view into
+  // the mapping, which lives as long as the last snapshot copy.
   {
-    const std::string text = read_file(base / "snapshots.log");
-    bytes += text.size();
-    for (auto& snap : parse_snapshot_log(text)) data.snapshots.add(std::move(snap));
+    const SharedText log = map_file((base / "snapshots.log").string());
+    bytes += log.size();
+    for (auto& snap : parse_snapshot_log(log)) data.snapshots.add(std::move(snap));
   }
 
   if (bytes_read != nullptr) *bytes_read = bytes;
@@ -300,20 +300,11 @@ void save_month_delta(const MonthDelta& delta, const std::string& dir) {
   fs::create_directories(dir);
   const fs::path base(dir);
 
-  write_file(base / "month.txt", std::to_string(delta.month) + "\n");
-
-  {
-    std::ostringstream os;
-    os << "ticket_id,network_id,created,resolved,origin,symptom,devices\n";
-    for (const auto& t : delta.tickets) render_ticket_row(os, t);
-    write_file(base / "tickets.csv", os.str());
-  }
-
-  {
-    std::ostringstream os;
-    for (const auto& snap : delta.snapshots) render_snapshot_record(os, snap);
-    write_file(base / "snapshots.log", os.str());
-  }
+  replace_file((base / "month.txt").string(), std::to_string(delta.month) + "\n",
+               "save_dataset");
+  save_tickets_and_snapshots(base, "save_dataset", delta.tickets, [&](const auto& emit) {
+    for (const auto& snap : delta.snapshots) emit(snap);
+  });
 }
 
 MonthDelta load_month_delta(const std::string& dir) {
@@ -321,21 +312,22 @@ MonthDelta load_month_delta(const std::string& dir) {
   MonthDelta delta;
 
   {
-    const std::string text(trim(read_file(base / "month.txt")));
+    const std::string text(trim(read_file((base / "month.txt").string(), "load_dataset")));
     const std::int64_t month = parse_int(text, "delta month");
     require_data(month >= 0, "month.txt: delta month is negative: " + text);
     delta.month = static_cast<int>(month);
   }
 
   {
-    const auto lines = split_lines(read_file(base / "tickets.csv"));
+    const std::string text = read_file((base / "tickets.csv").string(), "load_dataset");
+    const auto lines = split_line_views(text);
     for (std::size_t i = 1; i < lines.size(); ++i) {
       if (trim(lines[i]).empty()) continue;
       delta.tickets.push_back(parse_ticket_row(lines[i]));
     }
   }
 
-  delta.snapshots = parse_snapshot_log(read_file(base / "snapshots.log"));
+  delta.snapshots = parse_snapshot_log(map_file((base / "snapshots.log").string()));
   return delta;
 }
 

@@ -13,6 +13,11 @@
 //
 // Timestamps are minutes from the start of the observation window
 // (telemetry/time.hpp). Vendors/roles/origins use the to_string names.
+//
+// Loading maps snapshots.log and every loaded snapshot's text is a view
+// into that mapping (util/shared_text.hpp); saving replaces each file
+// by rename, so a session that has the old file mapped keeps reading
+// the bytes it loaded (DESIGN.md §17).
 #pragma once
 
 #include <cstdint>
@@ -32,8 +37,9 @@ struct DiskDataset {
   TicketLog tickets;
 };
 
-/// Write all three data sources into `dir` (created if absent).
-/// Throws DataError on I/O failure.
+/// Write all three data sources into `dir` (created if absent). Each
+/// file is written beside its final name and renamed into place, never
+/// edited in place. Throws DataError on I/O failure.
 void save_dataset(const DiskDataset& data, const std::string& dir);
 
 /// Load a dataset directory written by save_dataset (or assembled by
@@ -93,6 +99,12 @@ SplitDataset split_dataset(const DiskDataset& data, int first_delta_month);
 Vendor vendor_from_string(std::string_view s);
 Role role_from_string(std::string_view s);
 TicketOrigin origin_from_string(std::string_view s);
+/// Parse a whole snapshots.log; each snapshot's text is a view into
+/// `log`, sharing its owner. Throws the named DataErrors load_dataset
+/// reports ("snapshots.log: truncated header", "bad header", "negative
+/// snapshot length in header", "truncated body", and the integer
+/// errors for the time and length fields).
+std::vector<ConfigSnapshot> parse_snapshot_log(const SharedText& log);
 
 /// Validation shared by save_dataset and save_month_delta, exposed for
 /// tests: snapshots.log header tokens are whitespace-delimited, so a

@@ -123,7 +123,7 @@ bool Scheduler::submit(Request req) {
           req.deadline_ms > 0 ? req.deadline_ms : opts_.default_deadline_ms;
       if (deadline_ms > 0)
         item.deadline_ns = now + static_cast<std::uint64_t>(deadline_ms * 1e6);
-      auto [it, inserted] = queues_.try_emplace(req.tenant);
+      auto [it, inserted] = tenants_.try_emplace(req.tenant);
       if (inserted) rr_tenants_.push_back(req.tenant);
       obs::LogEvent(obs::LogLevel::kDebug, "request_enqueued")
           .u64("id", req.id)
@@ -131,7 +131,7 @@ bool Scheduler::submit(Request req) {
           .str("session", req.session)
           .str("kind", to_string(req.kind));
       item.req = std::move(req);
-      it->second.push_back(std::move(item));
+      it->second.queue.push_back(std::move(item));
       ++ready_;
       ++active_;
       ++stats_.admitted;
@@ -216,10 +216,14 @@ bool Scheduler::pop_next(Item* out) {
   if (ready_ == 0 || rr_tenants_.empty()) return false;
   for (std::size_t probe = 0; probe < rr_tenants_.size(); ++probe) {
     const std::size_t slot = (rr_cursor_ + probe) % rr_tenants_.size();
-    std::deque<Item>& q = queues_[rr_tenants_[slot]];
-    if (q.empty()) continue;
-    *out = std::move(q.front());
-    q.pop_front();
+    Tenant& t = tenants_[rr_tenants_[slot]];
+    if (t.queue.empty() || t.ingest_running) continue;
+    const bool ingest = t.queue.front().req.kind == RequestKind::kIngest;
+    if (ingest && t.running > 0) continue;
+    *out = std::move(t.queue.front());
+    t.queue.pop_front();
+    ++t.running;
+    t.ingest_running = ingest;
     --ready_;
     rr_cursor_ = (slot + 1) % rr_tenants_.size();
     return true;
@@ -230,10 +234,11 @@ bool Scheduler::pop_next(Item* out) {
 void Scheduler::worker_loop() {
   MutexLock lk(mu_);
   while (true) {
-    while (!(stop_ || ready_ > 0)) work_cv_.wait(mu_);
-    if (stop_ && ready_ == 0) return;  // lk releases on scope exit
     Item item;
-    if (!pop_next(&item)) continue;
+    while (!pop_next(&item)) {
+      if (stop_) return;  // the destructor drained first: nothing is queued
+      work_cv_.wait(mu_);
+    }
     lk.unlock();  // never hold mu_ across executor_/sink_
 
     const std::uint64_t dequeue_ns = obs::now_ns();
@@ -295,6 +300,11 @@ void Scheduler::worker_loop() {
     if (resp.status == RequestStatus::kError) ++stats_.errors;
     --active_;
     if (active_ == 0) drain_cv_.notify_all();
+    // The tenant's next request may have waited on this one.
+    Tenant& t = tenants_[item.req.tenant];
+    --t.running;
+    t.ingest_running = false;
+    if (!t.queue.empty()) work_cv_.notify_all();
   }
 }
 

@@ -8,7 +8,11 @@
 // completes with kDeadlineExceeded without executing; one already
 // expired at submit — negative deadline_ms — is answered synchronously
 // and never occupies queue depth), and round-robin
-// fairness across tenants with FIFO order within each tenant.
+// fairness across tenants with FIFO order within each tenant. An
+// ingest is a barrier within its tenant: it is dispatched only once the
+// tenant's earlier requests have completed, and nothing else of that
+// tenant is dispatched while it runs — so one tenant's consecutive
+// month deltas append in submission order at any worker count.
 //
 // Requests are executed by a fixed set of dedicated worker threads;
 // the analysis work itself fans out on each session's existing
@@ -128,10 +132,19 @@ class Scheduler {
     std::uint64_t enqueue_ns = 0;
     std::uint64_t deadline_ns = 0;  ///< 0 = no deadline.
   };
+  /// One tenant's FIFO queue and what of it is executing.
+  struct Tenant {
+    std::deque<Item> queue;
+    std::size_t running = 0;      ///< Dispatched and not yet completed.
+    bool ingest_running = false;  ///< One of the running requests is an ingest.
+  };
 
   void worker_loop() EXCLUDES(mu_);
-  /// Pop the next item round-robin across tenants (FIFO within a
-  /// tenant). Returns false when nothing is ready.
+  /// Pop the next dispatchable item round-robin across tenants (FIFO
+  /// within a tenant; a tenant whose front is an ingest waits for its
+  /// running requests, and a tenant with an ingest running waits for
+  /// it) and count it as running. Returns false when nothing is
+  /// dispatchable.
   bool pop_next(Item* out) REQUIRES(mu_);
   /// Reject `req` with `reason` (sink + metrics). Called with mu_
   /// released: the sink may run arbitrary user code (lock ordering,
@@ -160,9 +173,10 @@ class Scheduler {
   mutable Mutex mu_;
   CondVar work_cv_;   ///< Signals ready work / stop.
   CondVar drain_cv_;  ///< Signals active_ reaching 0.
-  /// Per-tenant FIFO queues; rr_tenants_ fixes the rotation order
-  /// (first-appearance) and rr_cursor_ the next tenant to serve.
-  std::map<std::string, std::deque<Item>> queues_ GUARDED_BY(mu_);
+  /// Per-tenant queues and running state; rr_tenants_ fixes the
+  /// rotation order (first-appearance) and rr_cursor_ the next tenant
+  /// to serve.
+  std::map<std::string, Tenant> tenants_ GUARDED_BY(mu_);
   std::vector<std::string> rr_tenants_ GUARDED_BY(mu_);
   std::size_t rr_cursor_ GUARDED_BY(mu_) = 0;
   std::size_t ready_ GUARDED_BY(mu_) = 0;   ///< Queued, not yet picked up.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "telemetry/time.hpp"
+#include "util/shared_text.hpp"
 
 namespace mpa {
 
@@ -25,7 +26,9 @@ struct ConfigSnapshot {
   std::string device_id;
   Timestamp time = 0;   ///< When the triggering change occurred.
   std::string login;    ///< Account that made the change (user or script).
-  std::string text;     ///< Full rendered configuration.
+  /// Full rendered configuration. Usually a view into the mapped
+  /// snapshots.log or mpac shard it was loaded from; copies share it.
+  SharedText text;
 };
 
 /// Append-only archive of snapshots, ordered per device by time.

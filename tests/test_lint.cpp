@@ -59,9 +59,13 @@ Stanza make(std::string type, std::string name,
 /// so every assertion also covers render -> scan -> parse fidelity.
 std::vector<Diagnostic> lint_texts(const std::vector<DeviceConfig>& configs, Dialect d,
                                    const LintOptions& opts = {}) {
+  std::vector<std::string> rendered;
+  rendered.reserve(configs.size());
+  for (const auto& c : configs) rendered.push_back(render(c, d));
   std::vector<DeviceText> texts;
   texts.reserve(configs.size());
-  for (const auto& c : configs) texts.push_back(DeviceText{c.device_id(), render(c, d), d});
+  for (std::size_t i = 0; i < configs.size(); ++i)
+    texts.push_back(DeviceText{configs[i].device_id(), rendered[i], d});
   return lint_network_text(texts, opts);
 }
 

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "case_dir.hpp"
 #include "engine/session_manager.hpp"
 #include "io/dataset_io.hpp"
 #include "metrics/practices.hpp"
@@ -291,6 +292,86 @@ TEST(Scheduler, FifoWithinTenant) {
   gate.release();
   sched.drain();
   EXPECT_EQ(out.ids(), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+}
+
+TEST(Scheduler, IngestIsABarrierWithinItsTenant) {
+  for (int workers : {2, 8}) {
+    std::mutex mu;
+    int running = 0;
+    bool ingest_running = false;
+    int violations = 0;
+    std::vector<std::uint64_t> ingest_order;
+    std::vector<std::uint64_t> want_order;
+    {
+      SchedulerOptions opts;
+      opts.workers = workers;
+      Scheduler sched(
+          opts,
+          [&](const Request& req) {
+            const bool ingest = req.kind == RequestKind::kIngest;
+            {
+              std::lock_guard<std::mutex> lk(mu);
+              if (ingest_running || (ingest && running > 0)) ++violations;
+              ++running;
+              if (ingest) {
+                ingest_running = true;
+                ingest_order.push_back(req.id);
+              }
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            {
+              std::lock_guard<std::mutex> lk(mu);
+              --running;
+              if (ingest) ingest_running = false;
+            }
+            return Response{};
+          },
+          nullptr);
+      // Reads and ingests of one tenant, back to back: reads between
+      // two ingests may run together, an ingest runs alone.
+      for (std::uint64_t id = 1; id <= 24; ++id) {
+        Request req = req_for(id, "writer");
+        if (id % 4 == 0) {
+          req.kind = RequestKind::kIngest;
+          want_order.push_back(id);
+        }
+        ASSERT_TRUE(sched.submit(std::move(req)));
+      }
+      sched.drain();
+    }
+    EXPECT_EQ(violations, 0) << workers << " workers";
+    EXPECT_EQ(ingest_order, want_order) << workers << " workers";
+  }
+}
+
+TEST(Scheduler, IngestBarrierLeavesOtherTenantsRunning) {
+  Gate gate;
+  Collector out;
+  SchedulerOptions opts;
+  opts.workers = 2;
+  Scheduler sched(
+      opts,
+      [&](const Request& req) {
+        if (req.id == 1) gate.wait();
+        return Response{};
+      },
+      out.sink());
+
+  // Tenant a's read holds one worker; its queued ingest must wait for
+  // it, but tenant b's read goes to the other worker meanwhile.
+  ASSERT_TRUE(sched.submit(req_for(1, "a")));
+  wait_until_picked_up(sched);
+  Request ingest = req_for(2, "a");
+  ingest.kind = RequestKind::kIngest;
+  ASSERT_TRUE(sched.submit(std::move(ingest)));
+  ASSERT_TRUE(sched.submit(req_for(3, "b")));
+  for (int i = 0; i < 2000 && out.ids().empty(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(out.ids(), (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(sched.queue_depth(), 1u);  // the ingest, held behind id 1
+  gate.release();
+  sched.drain();
+  EXPECT_EQ(out.ids(), (std::vector<std::uint64_t>{3, 1, 2}));
 }
 
 TEST(Scheduler, RoundRobinAcrossTenantsUnderSaturation) {
@@ -1021,6 +1102,56 @@ TEST(Server, IngestRequestAppendsMonthAndServesMergedArtifacts) {
   EXPECT_EQ(server.submit_and_wait(std::move(nodir)).status, RequestStatus::kError);
 
   fs::remove_all(delta_dir);
+}
+
+TEST(Server, OneTenantsBackToBackIngestsAppendInOrder) {
+  OspOptions gopts;
+  gopts.num_networks = kNetworks;
+  gopts.num_months = kMonths;
+  gopts.seed = 5;
+  const OspDataset data = generate_osp(gopts);
+  const DiskDataset full{data.inventory, data.snapshots, data.tickets};
+  const SplitDataset split = split_dataset(full, kMonths - 3);
+  ASSERT_EQ(split.deltas.size(), 3u);
+  std::vector<std::string> dirs;
+  for (const MonthDelta& d : split.deltas) {
+    dirs.push_back(case_dir() + "delta-" + std::to_string(d.month));
+    save_month_delta(d, dirs.back());
+  }
+  SessionOptions oopts;
+  oopts.threads = 1;
+  oopts.inference.num_months = kMonths;
+  AnalysisSession oracle(full.inventory, full.snapshots, full.tickets, std::move(oopts));
+  const std::string want = oracle.case_table().to_csv();
+
+  for (int workers : {2, 8}) {
+    AnalysisServer server(two_session_opts(workers));
+    SessionOptions sopts;
+    sopts.threads = 1;
+    sopts.inference.num_months = kMonths - 3;
+    server.sessions().open("main", AnalysisSession(split.base.inventory, split.base.snapshots,
+                                                   split.base.tickets, std::move(sopts)));
+    for (const std::string& dir : dirs) {
+      Request ingest;
+      ingest.session = "main";
+      ingest.tenant = "writer";
+      ingest.kind = RequestKind::kIngest;
+      ingest.dir = dir;
+      server.submit(std::move(ingest));
+    }
+    Request table;
+    table.session = "main";
+    table.tenant = "writer";
+    table.kind = RequestKind::kCaseTable;
+    const std::uint64_t table_id = server.submit(std::move(table));
+    server.drain();
+    const std::vector<Response> responses = server.responses();
+    ASSERT_EQ(responses.size(), 4u);
+    for (const Response& resp : responses)
+      EXPECT_EQ(resp.status, RequestStatus::kOk) << workers << " workers: " << resp.body;
+    EXPECT_EQ(responses.back().id, table_id);
+    EXPECT_EQ(responses.back().body, want) << workers << " workers";
+  }
 }
 
 // ---------------------------------------------------------------------------
