@@ -44,24 +44,13 @@ Option parse_ios_option(std::string_view line) {
   return Option{std::string(line.substr(0, sp)), std::string(trim(line.substr(sp + 1)))};
 }
 
-// Split a stanza header into (type, name) for the IOS-like dialect.
-Stanza parse_ios_header(std::string_view line) {
-  Stanza s;
-  for (std::string_view t : kIosMultiwordTypes) {
-    if (!match_prefix(line, t).empty()) {
-      s.type = std::string(t);
-      s.name = std::string(trim(line.substr(t.size())));
-      return s;
-    }
-  }
+// Split a stanza header line into (type, name) for the IOS-like dialect.
+std::pair<std::string_view, std::string_view> split_ios_header(std::string_view line) {
+  for (std::string_view t : kIosMultiwordTypes)
+    if (!match_prefix(line, t).empty()) return {t, trim(line.substr(t.size()))};
   const std::size_t sp = line.find(' ');
-  if (sp == std::string_view::npos) {
-    s.type = std::string(line);
-  } else {
-    s.type = std::string(line.substr(0, sp));
-    s.name = std::string(trim(line.substr(sp + 1)));
-  }
-  return s;
+  if (sp == std::string_view::npos) return {line, {}};
+  return {line.substr(0, sp), trim(line.substr(sp + 1))};
 }
 
 // Split a JunOS-like block header (the trimmed line without its "{")
@@ -84,6 +73,14 @@ bool next_line(std::string_view text, std::size_t& pos, std::string_view& raw) {
   return true;
 }
 
+// The text of a comment line (trimmed, starting with "/*"), without its
+// markers.
+std::string_view junos_comment(std::string_view line) {
+  std::string_view body = line.substr(2);
+  if (body.size() >= 2 && body.substr(body.size() - 2) == "*/") body.remove_suffix(2);
+  return trim(body);
+}
+
 Stanza parse_ios_stanza(std::string_view chunk) {
   Stanza s;
   bool header = true;
@@ -93,7 +90,9 @@ Stanza parse_ios_stanza(std::string_view chunk) {
     const std::string_view line = trim(raw);
     if (line.empty()) continue;
     if (header) {
-      s = parse_ios_header(line);
+      const auto [type, name] = split_ios_header(line);
+      s.type = std::string(type);
+      s.name = std::string(name);
       header = false;
     } else {
       s.options.push_back(parse_ios_option(line));
@@ -165,93 +164,6 @@ std::string render_junos(const DeviceConfig& c) {
   return os.str();
 }
 
-SourceMap scan_ios(std::string_view text) {
-  SourceMap map;
-  std::vector<std::string> pending_comments;
-  int line_no = 0;
-  int open = -1;  // index into map.stanzas of the stanza being scanned
-  auto close = [&](int end_line) {
-    if (open >= 0) map.stanzas[static_cast<std::size_t>(open)].last_line = end_line;
-    open = -1;
-  };
-  std::string_view raw;
-  for (std::size_t pos = 0; next_line(text, pos, raw);) {
-    ++line_no;
-    std::string_view line = trim(raw);
-    if (line.empty()) continue;
-    if (line[0] == '!') {
-      close(line_no);  // "!" terminates the current stanza
-      const std::string comment(trim(line.substr(1)));
-      if (!comment.empty()) {
-        map.all_comments.push_back(comment);
-        pending_comments.push_back(comment);
-      }
-      continue;
-    }
-    if (indent_of(raw) == 0) {
-      close(line_no - 1);
-      Stanza header = parse_ios_header(line);
-      SourceStanza src;
-      src.type = std::move(header.type);
-      src.name = std::move(header.name);
-      src.first_line = line_no;
-      src.last_line = line_no;
-      src.leading_comments = std::move(pending_comments);
-      pending_comments.clear();
-      open = static_cast<int>(map.stanzas.size());
-      map.stanzas.push_back(std::move(src));
-    } else if (open >= 0) {
-      map.stanzas[static_cast<std::size_t>(open)].last_line = line_no;
-    }
-  }
-  close(line_no);
-  return map;
-}
-
-SourceMap scan_junos(std::string_view text) {
-  SourceMap map;
-  std::vector<std::string> pending_comments;
-  int line_no = 0;
-  int open = -1;
-  std::string_view raw;
-  for (std::size_t pos = 0; next_line(text, pos, raw);) {
-    ++line_no;
-    std::string_view line = trim(raw);
-    if (line.empty()) continue;
-    if (starts_with(line, "/*")) {
-      std::string_view body = line.substr(2);
-      if (body.size() >= 2 && body.substr(body.size() - 2) == "*/")
-        body = body.substr(0, body.size() - 2);
-      const std::string comment(trim(body));
-      if (!comment.empty()) {
-        map.all_comments.push_back(comment);
-        pending_comments.push_back(comment);
-      }
-      continue;
-    }
-    if (line == "}") {
-      if (open >= 0) map.stanzas[static_cast<std::size_t>(open)].last_line = line_no;
-      open = -1;
-      continue;
-    }
-    if (line.back() == '{') {
-      const auto [type, name] = split_junos_header(trim(line.substr(0, line.size() - 1)));
-      SourceStanza src;
-      src.type = std::string(type);
-      src.name = std::string(name);
-      src.first_line = line_no;
-      src.last_line = line_no;
-      src.leading_comments = std::move(pending_comments);
-      pending_comments.clear();
-      open = static_cast<int>(map.stanzas.size());
-      map.stanzas.push_back(std::move(src));
-      continue;
-    }
-    if (open >= 0) map.stanzas[static_cast<std::size_t>(open)].last_line = line_no;
-  }
-  return map;
-}
-
 }  // namespace
 
 Dialect dialect_of(Vendor v) {
@@ -276,30 +188,47 @@ std::optional<std::string_view> StanzaChunker::next() {
   return dialect_ == Dialect::kIosLike ? next_ios() : next_junos();
 }
 
+void StanzaChunker::open_chunk() {
+  comments_.swap(pending_);
+  pending_.clear();
+}
+
 // A stanza runs from its header to its last option line; a "!" line or
 // the next header ends it.
 std::optional<std::string_view> StanzaChunker::next_ios() {
   std::size_t begin = std::string_view::npos, end = 0;
   std::string_view raw;
   for (std::size_t at = pos_; next_line(text_, pos_, raw); at = pos_) {
+    ++line_;
     const std::string_view line = trim(raw);
     if (line.empty()) continue;
     if (line[0] == '!') {  // comment or terminator
-      if (begin != std::string_view::npos) return text_.substr(begin, end - begin);
+      if (const std::string_view c = trim(line.substr(1)); !c.empty()) pending_.push_back(c);
+      if (begin != std::string_view::npos) {
+        last_line_ = line_;
+        return text_.substr(begin, end - begin);
+      }
       continue;
     }
     if (indent_of(raw) == 0) {
       if (begin != std::string_view::npos) {
         pos_ = at;  // this header opens the next chunk
+        last_line_ = --line_;
         return text_.substr(begin, end - begin);
       }
       begin = at;
+      first_line_ = line_;
+      open_chunk();
     } else if (begin == std::string_view::npos) {
       throw DataError("IOS parse: option line outside a stanza: " + std::string(line));
     }
     end = at + raw.size();
   }
-  if (begin != std::string_view::npos) return text_.substr(begin, end - begin);
+  if (begin != std::string_view::npos) {
+    last_line_ = line_;
+    return text_.substr(begin, end - begin);
+  }
+  open_chunk();
   return std::nullopt;
 }
 
@@ -311,10 +240,16 @@ std::optional<std::string_view> StanzaChunker::next_junos() {
     return std::string(split_junos_header(trim(header.substr(0, header.size() - 1))).first);
   };
   for (std::size_t at = pos_; next_line(text_, pos_, raw); at = pos_) {
+    ++line_;
     const std::string_view line = trim(raw);
-    if (line.empty() || starts_with(line, "/*")) continue;
+    if (line.empty()) continue;
+    if (starts_with(line, "/*")) {
+      if (const std::string_view c = junos_comment(line); !c.empty()) pending_.push_back(c);
+      continue;
+    }
     if (line == "}") {
       if (begin == std::string_view::npos) throw DataError("JunOS parse: unbalanced '}'");
+      last_line_ = line_;
       return text_.substr(begin, at + raw.size() - begin);
     }
     if (line.back() == '{') {
@@ -322,6 +257,8 @@ std::optional<std::string_view> StanzaChunker::next_junos() {
         throw DataError("JunOS parse: nested block in " + open_type());
       begin = at;
       header = line;
+      first_line_ = line_;
+      open_chunk();
       continue;
     }
     if (begin == std::string_view::npos)
@@ -330,6 +267,7 @@ std::optional<std::string_view> StanzaChunker::next_junos() {
   }
   if (begin != std::string_view::npos)
     throw DataError("JunOS parse: unterminated block " + open_type());
+  open_chunk();
   return std::nullopt;
 }
 
@@ -344,8 +282,11 @@ DeviceConfig parse(std::string_view text, Dialect d, std::string device_id) {
   return c;
 }
 
-SourceMap scan_source(std::string_view text, Dialect d) {
-  return d == Dialect::kIosLike ? scan_ios(text) : scan_junos(text);
+std::pair<std::string_view, std::string_view> stanza_key(std::string_view chunk, Dialect d) {
+  std::string_view header = trim(chunk.substr(0, chunk.find('\n')));
+  if (d == Dialect::kIosLike) return split_ios_header(header);
+  if (!header.empty() && header.back() == '{') header.remove_suffix(1);
+  return split_junos_header(trim(header));
 }
 
 }  // namespace mpa

@@ -20,6 +20,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "config/stanza.hpp"
 #include "model/inventory.hpp"
@@ -49,6 +51,11 @@ DeviceConfig parse(std::string_view text, Dialect d, std::string device_id);
 /// DataError parse() throws, at the same stanza. A chunk's text alone
 /// determines its parsed Stanza, which is what lets inference parse
 /// each distinct chunk once (config/stanza_table.hpp).
+///
+/// The walk also yields what a chunk's text leaves out: where the chunk
+/// sits in the whole text and the comments before it. This is what
+/// lets the lint engine point diagnostics at real lines and honor
+/// suppression pragmas (LintSource) from the same walk that interns.
 class StanzaChunker {
  public:
   StanzaChunker(std::string_view text, Dialect d) : text_(text), dialect_(d) {}
@@ -56,43 +63,42 @@ class StanzaChunker {
   /// The next chunk (a view into the text), or nullopt at the end.
   std::optional<std::string_view> next();
 
+  /// 1-based line range of the chunk next() last returned. The header
+  /// line comes first; the last line is the closing "}" (JunOS-like),
+  /// or on IOS-like text the "!" line that ended the stanza, the line
+  /// before the next header, or the text's last line.
+  int first_line() const { return first_line_; }
+  int last_line() const { return last_line_; }
+
+  /// Comments between the previous chunk's header and the header of
+  /// the chunk next() last returned, in text order; once next() has
+  /// returned nullopt, those after the last header. Each is stripped of
+  /// the dialect's comment markers and trimmed; empty ones are left
+  /// out. Every comment of the text is yielded exactly once. The views
+  /// alias the text.
+  const std::vector<std::string_view>& comments() const { return comments_; }
+
  private:
   std::optional<std::string_view> next_ios();
   std::optional<std::string_view> next_junos();
+  /// Start collecting the comments of the chunk after this one.
+  void open_chunk();
 
   std::string_view text_;
   Dialect dialect_;
   std::size_t pos_ = 0;  ///< Start of the first line not yet consumed.
+  int line_ = 0;         ///< Number of lines consumed.
+  int first_line_ = 0, last_line_ = 0;
+  std::vector<std::string_view> comments_, pending_;
 };
 
 /// Parse one chunk cut by StanzaChunker. Never throws: malformed text
 /// is rejected by the chunker.
 Stanza parse_stanza(std::string_view chunk, Dialect d);
 
-/// Structural source map of dialect text: where each stanza lives and
-/// which comments precede it. This is what lets the lint engine point
-/// diagnostics at real lines of the rendered config and honor
-/// suppression pragmas, without re-teaching it either dialect's syntax.
-struct SourceStanza {
-  std::string type;  ///< Vendor-native stanza type (as parse() yields).
-  std::string name;
-  int first_line = 0;  ///< 1-based line of the stanza header.
-  int last_line = 0;   ///< 1-based line of the last body/terminator line.
-  /// Comment lines immediately preceding the header, stripped of the
-  /// dialect's comment markers and trimmed.
-  std::vector<std::string> leading_comments;
-};
-
-struct SourceMap {
-  std::vector<SourceStanza> stanzas;
-  /// Every comment in the file (stripped + trimmed), wherever it sits;
-  /// file-scope lint pragmas are fished out of these.
-  std::vector<std::string> all_comments;
-};
-
-/// Scan dialect text without building a DeviceConfig. Tolerant of the
-/// same inputs parse() accepts; stanza (type, name) pairs match what
-/// parse() would produce for them.
-SourceMap scan_source(std::string_view text, Dialect d);
+/// The native (type, name) of a chunk cut by StanzaChunker: what
+/// parse_stanza() yields for them, as views of the chunk (or of static
+/// storage), without parsing the options.
+std::pair<std::string_view, std::string_view> stanza_key(std::string_view chunk, Dialect d);
 
 }  // namespace mpa

@@ -30,10 +30,12 @@
 // JSON, and SARIF form.
 #pragma once
 
+#include <array>
+#include <concepts>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,16 +89,29 @@ struct Diagnostic {
 
 // ------------------------------------------------------- source resolution
 
-/// Per-device source info extracted from dialect text: stanza spans and
-/// suppression pragmas. Cheap line scan; build once per snapshot and
-/// reuse across lint runs.
+/// Per-device source info taken from dialect text: stanza spans and
+/// suppression pragmas. Built from one StanzaChunker walk, either by
+/// scan() or alongside interning (StanzaTable::intern), once per
+/// snapshot and reused across lint runs.
+///
+/// A LintSource holds views, not copies: of the text (pragma rule ids)
+/// and of the (type, name) strings handed to add(). Keep those bytes
+/// alive while the source is used.
 class LintSource {
  public:
   LintSource() = default;
+  /// Walk `text` once. Throws the DataError parse() throws for
+  /// malformed text.
   static LintSource scan(std::string_view text, Dialect d);
 
+  /// Record the chunk `walk` last returned, whose stanza has this native
+  /// (type, name). Call for every chunk in text order, then finish().
+  void add(std::string_view type, std::string_view name, const StanzaChunker& walk);
+  /// Record the comments after the last chunk, once `walk` is done.
+  void finish(const StanzaChunker& walk);
+
   /// Span of the stanza with this native (type, name), if the text
-  /// contains it.
+  /// contains it (the first such stanza when the text repeats it).
   SourceSpan span_of(std::string_view type, std::string_view name) const;
 
   /// True if `rule_id` is suppressed for this stanza (stanza pragma or
@@ -105,11 +120,15 @@ class LintSource {
 
  private:
   struct Entry {
+    std::string_view type, name;
     SourceSpan span;
-    std::set<std::string, std::less<>> disabled;
+    std::uint32_t disabled_begin = 0, disabled_end = 0;  ///< Range of disabled_.
   };
-  std::map<std::pair<std::string, std::string>, Entry, std::less<>> stanzas_;
-  std::set<std::string, std::less<>> device_disabled_;
+  const Entry* find(std::string_view type, std::string_view name) const;
+
+  std::vector<Entry> stanzas_;  ///< In text order.
+  std::vector<std::string_view> disabled_;  ///< Rule ids of stanza pragmas.
+  std::vector<std::string_view> device_disabled_;
 };
 
 // ------------------------------------------------------------------ rules
@@ -182,9 +201,31 @@ struct LintInput {
 
 /// Run all applicable rules over one network. Diagnostics come out
 /// grouped by rule (registry order), then device, then stanza order —
-/// deterministic for identical inputs.
+/// deterministic for identical inputs. This is a device pass over each
+/// device plus one network pass, merged by rule.
 std::vector<Diagnostic> run_lint(const std::vector<LintInput>& network,
                                  const LintOptions& opts = {});
+
+/// The two halves of run_lint(). A device-scope check sees one device
+/// only, so a device's device pass can run once per config state and be
+/// reused by every network state that includes it; the network pass
+/// runs over each network state. Both feed the sink in registry order.
+void run_device_rules(const DeviceView& dev, LintSink& sink);
+void run_network_rules(const NetworkView& net, LintSink& sink);
+
+/// Counts of findings without the findings: what a LintSink tallies
+/// instead of collecting Diagnostics. Tallies of the passes that make
+/// up a run_lint() add up to the counts of its Diagnostics.
+struct LintTally {
+  int total = 0;  ///< Unsuppressed findings.
+  std::array<int, kNumLintCategories> by_category{};
+  std::array<int, kNumLintSeverities> by_severity{};
+  int suppressed = 0;  ///< Pragma-suppressed findings (counted when kept).
+  /// Registry positions of rules with an unsuppressed finding.
+  std::vector<bool> rules_hit;
+
+  LintTally& operator+=(const LintTally& other);
+};
 
 /// Convenience: intra-device checks on one parsed config (no spans).
 std::vector<Diagnostic> lint_device(const DeviceConfig& config, const LintOptions& opts = {});
@@ -208,7 +249,9 @@ std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network
 
 // ------------------------------------------------ rule execution contexts
 
-/// Device under analysis with the indexes device-scope rules share.
+/// Device under analysis with the indexes its rules share. The config
+/// is indexed once, on construction; copies share the indexes, so one
+/// view can serve a device pass and every network pass it joins.
 class DeviceView {
  public:
   DeviceView(const DeviceConfig& config, const LintSource* source);
@@ -217,20 +260,46 @@ class DeviceView {
   const LintSource* source() const { return source_; }
   const std::string& device_id() const { return config_->device_id(); }
 
-  /// Names of stanzas whose agnostic type matches.
-  const std::set<std::string>& names_of(std::string_view agnostic) const;
+  /// Stanzas whose agnostic type matches, in config order.
+  const std::vector<const Stanza*>& of_type(std::string_view agnostic) const;
+  /// Their names, sorted and unique.
+  const std::vector<std::string_view>& names_of(std::string_view agnostic) const;
   bool defines(std::string_view agnostic, std::string_view name) const;
+  /// Stanzas instantiating this protocol construct (construct_of()), in
+  /// config order.
+  const std::vector<const Stanza*>& of_construct(std::string_view construct) const;
+
+  /// An interface's address option that parses as a prefix.
+  struct Address {
+    const Stanza* stanza = nullptr;
+    Ipv4Prefix prefix;
+  };
+  /// Every interface address, in stanza and option order.
+  const std::vector<Address>& addresses() const { return index_->addresses; }
 
  private:
+  struct Group {
+    std::string_view key;
+    std::vector<const Stanza*> stanzas;
+    std::vector<std::string_view> names;  ///< Sorted, unique (type groups only).
+  };
+  struct Index {
+    std::vector<Group> types, constructs;
+    std::vector<Address> addresses;
+  };
+  static const Group& find(const std::vector<Group>& groups, std::string_view key);
+
   const DeviceConfig* config_;
   const LintSource* source_;
-  mutable std::map<std::string, std::set<std::string>, std::less<>> names_;
+  std::shared_ptr<const Index> index_;
 };
 
 /// Whole network with cross-device indexes shared by network rules.
 class NetworkView {
  public:
   explicit NetworkView(const std::vector<LintInput>& inputs);
+  /// A network of views already built, e.g. by device passes.
+  explicit NetworkView(std::vector<DeviceView> devices);
 
   const std::vector<DeviceView>& devices() const { return devices_; }
 
@@ -259,27 +328,41 @@ class NetworkView {
   std::vector<IfaceAddr> iface_addrs_;
   std::map<std::uint32_t, std::size_t> addr_owner_;
   std::vector<BgpProc> bgp_procs_;
-  std::set<std::size_t> bgp_devices_;
+  std::vector<bool> runs_bgp_;  ///< By device index.
 };
 
 /// Where rules deposit findings. Handles severity overrides, pragma
 /// suppression, and span resolution so rules only say what is wrong
-/// and where.
+/// and where. A sink either collects Diagnostics or only counts them
+/// into a LintTally.
 class LintSink {
  public:
   LintSink(const LintOptions& opts, std::vector<Diagnostic>& out);
+  LintSink(const LintOptions& opts, LintTally& tally);
 
   /// Anchor a finding to a stanza of `dev` (null = whole device).
   void report(const DeviceView& dev, const Stanza* anchor, std::string message);
+  /// report() with the message built only when the sink collects.
+  template <std::invocable MakeMessage>
+  void report(const DeviceView& dev, const Stanza* anchor, MakeMessage&& message) {
+    report(dev, anchor, tally_ != nullptr ? std::string() : std::string(message()));
+  }
 
-  /// The rule currently executing (set by the engine).
-  void set_active(const LintRule* rule);
+  const LintOptions& options() const { return *opts_; }
+  const RuleRegistry& registry() const;
+
+  /// The rule currently executing and its registry position (set by
+  /// the engine).
+  void set_active(const LintRule* rule, std::size_t position);
 
  private:
   const LintOptions* opts_;
-  std::vector<Diagnostic>* out_;
+  std::vector<Diagnostic>* out_ = nullptr;
+  LintTally* tally_ = nullptr;
   const LintRule* active_ = nullptr;
+  std::size_t position_ = 0;
   RuleInfo active_info_{};
+  LintSeverity severity_{};  ///< active_info_'s, after overrides.
 };
 
 }  // namespace mpa

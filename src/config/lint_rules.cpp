@@ -2,13 +2,22 @@
 // registered in RuleRegistry::builtin(); the engine (lint.cpp) drives
 // them and handles severity overrides, suppression, and spans.
 //
-// Device-scope rules use the per-device name indexes in DeviceView;
-// network-scope rules use the shared address/BGP indexes in
+// Device-scope rules use the per-device type and name indexes in
+// DeviceView; network-scope rules use the shared address/BGP indexes in
 // NetworkView. Rules report against the vendor-agnostic model, so each
 // fires identically on IOS-like and JunOS-like configs.
+//
+// Case-table inference runs every rule once per device state or network
+// state, so the kernels look at option values in place, as views, and
+// build a finding's message only when the sink keeps findings.
+#include <algorithm>
+#include <array>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "config/lint.hpp"
@@ -18,30 +27,69 @@
 namespace mpa {
 namespace {
 
-/// ACL names attached by an interface stanza (via "ip access-group" /
-/// "filter"), in option order.
-std::vector<std::string> attached_acls(const Stanza& iface) {
-  std::vector<std::string> out;
-  for (const auto& o : iface.options) {
-    if (o.key != "ip access-group" && o.key != "filter") continue;
-    const auto tokens = split_ws(o.value);
-    if (!tokens.empty()) out.push_back(tokens[0]);
+std::string concat(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (const std::string_view p : parts) out.append(p);
+  return out;
+}
+
+/// The first N whitespace-separated words of `s`, empty past its last
+/// word: split_ws(s)'s first N elements without the copies.
+template <std::size_t N>
+std::array<std::string_view, N> words(std::string_view s) {
+  std::array<std::string_view, N> out{};
+  for (auto& w : out) {
+    w = first_token(s);
+    if (w.empty()) break;
+    s.remove_prefix(static_cast<std::size_t>(w.data() + w.size() - s.data()));
   }
   return out;
 }
 
-/// VLAN ids referenced (not defined) by a stanza: access membership
-/// ("switchport access vlan" / "vlan-members"), and per-VLAN
-/// spanning-tree tuning on interfaces.
-std::vector<std::string> referenced_vlans(const Stanza& s) {
-  std::vector<std::string> out;
+/// Calls f(value) for each option of `s` with this key, in option
+/// order: Stanza::get_all() without the copies.
+template <typename F>
+void for_each_value(const Stanza& s, std::string_view key, F&& f) {
+  for (const auto& o : s.options)
+    if (o.key == key) f(o.value);
+}
+
+/// Calls f(name) for each ACL an interface stanza attaches (via "ip
+/// access-group" / "filter"), in option order.
+template <typename F>
+void for_each_attached_acl(const Stanza& iface, F&& f) {
+  for (const auto& o : iface.options) {
+    if (o.key != "ip access-group" && o.key != "filter") continue;
+    const std::string_view acl = first_token(o.value);
+    if (!acl.empty()) f(acl);
+  }
+}
+
+/// Calls f(id) for each VLAN id a stanza references (not defines):
+/// access membership ("switchport access vlan" / "vlan-members"), and
+/// per-VLAN spanning-tree tuning on interfaces.
+template <typename F>
+void for_each_referenced_vlan(const Stanza& s, F&& f) {
   for (const auto& o : s.options)
     if (o.key == "switchport access vlan" || o.key == "spanning-tree vlan" ||
         o.key == "vlan-members") {
-      out.push_back(o.value);
+      f(std::string_view(o.value));
     }
-  return out;
 }
+
+/// Names to test membership in, held as views: a std::set<std::string>
+/// without the copies. Add every name, then seal() once.
+class NameSet {
+ public:
+  void add(std::string_view name) { names_.push_back(name); }
+  void seal() { std::sort(names_.begin(), names_.end()); }
+  bool contains(std::string_view name) const {
+    return std::binary_search(names_.begin(), names_.end(), name);
+  }
+
+ private:
+  std::vector<std::string_view> names_;
+};
 
 bool is_acl_term(const Option& o) { return o.key == "permit" || o.key == "deny"; }
 
@@ -59,12 +107,11 @@ class DanglingAclRefRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "interface") continue;
-      for (const auto& acl : attached_acls(s))
+    for (const Stanza* s : dev.of_type("interface"))
+      for_each_attached_acl(*s, [&](std::string_view acl) {
         if (!dev.defines("acl", acl))
-          sink.report(dev, &s, s.name + " -> acl '" + acl + "'");
-    }
+          sink.report(dev, s, [&] { return concat({s->name, " -> acl '", acl, "'"}); });
+      });
   }
 };
 
@@ -76,15 +123,18 @@ class DanglingVlanRefRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     for (const auto& s : dev.config().stanzas()) {
-      const std::string agnostic = normalize_type(s.type);
+      const std::string_view agnostic = agnostic_type(s.type);
       if (agnostic == "interface") {
-        for (const auto& vlan : referenced_vlans(s))
+        for_each_referenced_vlan(s, [&](std::string_view vlan) {
           if (!dev.defines("vlan", vlan))
-            sink.report(dev, &s, s.name + " -> vlan '" + vlan + "'");
+            sink.report(dev, &s, [&] { return concat({s.name, " -> vlan '", vlan, "'"}); });
+        });
       } else if (agnostic == "vlan") {
-        for (const auto& name : s.get_all("interface"))
+        for_each_value(s, "interface", [&](const std::string& name) {
           if (!dev.defines("interface", name))
-            sink.report(dev, &s, "vlan " + s.name + " -> interface '" + name + "'");
+            sink.report(dev, &s,
+                        [&] { return concat({"vlan ", s.name, " -> interface '", name, "'"}); });
+        });
       }
     }
   }
@@ -97,12 +147,11 @@ class DanglingPoolRefRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "virtual-server") continue;
-      for (const auto& name : s.get_all("pool"))
+    for (const Stanza* s : dev.of_type("virtual-server"))
+      for_each_value(*s, "pool", [&](const std::string& name) {
         if (!dev.defines("pool", name))
-          sink.report(dev, &s, s.name + " -> pool '" + name + "'");
-    }
+          sink.report(dev, s, [&] { return concat({s->name, " -> pool '", name, "'"}); });
+      });
   }
 };
 
@@ -113,12 +162,11 @@ class DanglingLagMemberRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "link-aggregation") continue;
-      for (const auto& name : s.get_all("member"))
+    for (const Stanza* s : dev.of_type("link-aggregation"))
+      for_each_value(*s, "member", [&](const std::string& name) {
         if (!dev.defines("interface", name))
-          sink.report(dev, &s, s.name + " -> interface '" + name + "'");
-    }
+          sink.report(dev, s, [&] { return concat({s->name, " -> interface '", name, "'"}); });
+      });
   }
 };
 
@@ -131,12 +179,9 @@ class EmptyAclRule final : public LintRule {
             LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "acl") continue;
-      bool has_term = false;
-      for (const auto& o : s.options)
-        if (is_acl_term(o)) has_term = true;
-      if (!has_term) sink.report(dev, &s, "acl '" + s.name + "' has no terms");
+    for (const Stanza* s : dev.of_type("acl")) {
+      if (std::none_of(s->options.begin(), s->options.end(), is_acl_term))
+        sink.report(dev, s, [&] { return concat({"acl '", s->name, "' has no terms"}); });
     }
   }
 };
@@ -148,16 +193,16 @@ class ShadowedAclTermRule final : public LintRule {
             LintCategory::kFilter, LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "acl") continue;
-      std::set<std::pair<std::string, std::string>> seen;
+    for (const Stanza* s : dev.of_type("acl")) {
+      std::set<std::pair<std::string_view, std::string_view>> seen;
       bool catch_all = false;
-      for (const auto& o : s.options) {
+      for (const auto& o : s->options) {
         if (!is_acl_term(o)) continue;
         // Terms after a catch-all belong to acl-unreachable-term.
         if (!catch_all && !seen.insert({o.key, o.value}).second) {
-          sink.report(dev, &s,
-                      "acl '" + s.name + "': duplicate term '" + o.key + " " + o.value + "'");
+          sink.report(dev, s, [&] {
+            return concat({"acl '", s->name, "': duplicate term '", o.key, " ", o.value, "'"});
+          });
         }
         if (is_catch_all(o.value)) catch_all = true;
       }
@@ -172,15 +217,15 @@ class UnreachableAclTermRule final : public LintRule {
             LintCategory::kFilter, LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "acl") continue;
+    for (const Stanza* s : dev.of_type("acl")) {
       bool catch_all = false;
-      for (const auto& o : s.options) {
+      for (const auto& o : s->options) {
         if (!is_acl_term(o)) continue;
         if (catch_all) {
-          sink.report(dev, &s,
-                      "acl '" + s.name + "': term '" + o.key + " " + o.value +
-                          "' is unreachable after a catch-all");
+          sink.report(dev, s, [&] {
+            return concat({"acl '", s->name, "': term '", o.key, " ", o.value,
+                           "' is unreachable after a catch-all"});
+          });
         }
         if (is_catch_all(o.value)) catch_all = true;
       }
@@ -197,13 +242,15 @@ class UnreferencedAclRule final : public LintRule {
             LintCategory::kHygiene, LintSeverity::kInfo};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    std::set<std::string> used;
-    for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "interface")
-        for (auto& acl : attached_acls(s)) used.insert(std::move(acl));
-    for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "acl" && used.count(s.name) == 0)
-        sink.report(dev, &s, "acl '" + s.name + "' is never attached");
+    const auto& acls = dev.of_type("acl");
+    if (acls.empty()) return;
+    NameSet used;
+    for (const Stanza* s : dev.of_type("interface"))
+      for_each_attached_acl(*s, [&](std::string_view acl) { used.add(acl); });
+    used.seal();
+    for (const Stanza* s : acls)
+      if (!used.contains(s->name))
+        sink.report(dev, s, [&] { return concat({"acl '", s->name, "' is never attached"}); });
   }
 };
 
@@ -214,13 +261,15 @@ class UnreferencedPoolRule final : public LintRule {
             LintCategory::kHygiene, LintSeverity::kInfo};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    std::set<std::string> used;
-    for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "virtual-server")
-        for (auto& p : s.get_all("pool")) used.insert(std::move(p));
-    for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "pool" && used.count(s.name) == 0)
-        sink.report(dev, &s, "pool '" + s.name + "' is never used");
+    const auto& pools = dev.of_type("pool");
+    if (pools.empty()) return;
+    NameSet used;
+    for (const Stanza* s : dev.of_type("virtual-server"))
+      for_each_value(*s, "pool", [&](const std::string& p) { used.add(p); });
+    used.seal();
+    for (const Stanza* s : pools)
+      if (!used.contains(s->name))
+        sink.report(dev, s, [&] { return concat({"pool '", s->name, "' is never used"}); });
   }
 };
 
@@ -231,15 +280,17 @@ class UnreferencedVlanRule final : public LintRule {
             LintCategory::kHygiene, LintSeverity::kInfo};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    std::set<std::string> used;
-    for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "interface")
-        for (auto& v : referenced_vlans(s)) used.insert(std::move(v));
-    for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "vlan") continue;
-      if (used.count(s.name) > 0) continue;
-      if (!s.get_all("interface").empty()) continue;  // members listed inline
-      sink.report(dev, &s, "vlan " + s.name + " has no members");
+    const auto& vlans = dev.of_type("vlan");
+    if (vlans.empty()) return;
+    NameSet used;
+    for (const Stanza* s : dev.of_type("interface"))
+      for_each_referenced_vlan(*s, [&](std::string_view v) { used.add(v); });
+    used.seal();
+    for (const Stanza* s : vlans) {
+      if (used.contains(s->name)) continue;
+      const auto member = [](const Option& o) { return o.key == "interface"; };
+      if (std::any_of(s->options.begin(), s->options.end(), member)) continue;  // inline members
+      sink.report(dev, s, [&] { return concat({"vlan ", s->name, " has no members"}); });
     }
   }
 };
@@ -252,20 +303,17 @@ class UnusedInterfaceUpRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     // Interfaces referenced by VLAN member lists or LAGs are in use.
-    std::set<std::string> referenced;
-    for (const auto& s : dev.config().stanzas()) {
-      const std::string agnostic = normalize_type(s.type);
-      if (agnostic == "vlan")
-        for (auto& n : s.get_all("interface")) referenced.insert(std::move(n));
-      if (agnostic == "link-aggregation")
-        for (auto& n : s.get_all("member")) referenced.insert(std::move(n));
-    }
-    for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "interface") continue;
-      if (referenced.count(s.name) > 0) continue;
+    NameSet referenced;
+    for (const Stanza* s : dev.of_type("vlan"))
+      for_each_value(*s, "interface", [&](const std::string& n) { referenced.add(n); });
+    for (const Stanza* s : dev.of_type("link-aggregation"))
+      for_each_value(*s, "member", [&](const std::string& n) { referenced.add(n); });
+    referenced.seal();
+    for (const Stanza* s : dev.of_type("interface")) {
+      if (referenced.contains(s->name)) continue;
       bool in_use = false;
       bool shut = false;
-      for (const auto& o : s.options) {
+      for (const auto& o : s->options) {
         if (o.key == "ip address" || o.key == "ip-address" || o.key == "ip access-group" ||
             o.key == "filter" || o.key == "switchport access vlan" || o.key == "vlan-members") {
           in_use = true;
@@ -273,7 +321,7 @@ class UnusedInterfaceUpRule final : public LintRule {
         if (o.key == "shutdown" || o.key == "disable") shut = true;
       }
       if (!in_use && !shut)
-        sink.report(dev, &s, s.name + " carries no config; add 'shutdown'");
+        sink.report(dev, s, [&] { return concat({s->name, " carries no config; add 'shutdown'"}); });
     }
   }
 };
@@ -287,13 +335,15 @@ class DuplicateAddressRule final : public LintRule {
             LintCategory::kAddressing, LintSeverity::kError};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    std::map<std::uint32_t, std::string> owners;  // ip -> "device/iface"
+    std::map<std::uint32_t, const NetworkView::IfaceAddr*> owners;  // ip -> first interface
     for (const auto& ia : net.iface_addrs()) {
-      const DeviceView& dev = net.devices()[ia.device];
-      const std::string here = dev.device_id() + "/" + ia.stanza->name;
-      const auto [it, inserted] = owners.emplace(ia.prefix.addr, here);
-      if (!inserted)
-        sink.report(dev, ia.stanza, format_ipv4(ia.prefix.addr) + " also on " + it->second);
+      const auto [it, inserted] = owners.emplace(ia.prefix.addr, &ia);
+      if (inserted) continue;
+      const NetworkView::IfaceAddr& first = *it->second;
+      sink.report(net.devices()[ia.device], ia.stanza, [&] {
+        return concat({format_ipv4(ia.prefix.addr), " also on ",
+                       net.devices()[first.device].device_id(), "/", first.stanza->name});
+      });
     }
   }
 };
@@ -317,9 +367,9 @@ class SubnetOverlapRule final : public LintRule {
         const Ipv4Prefix& narrow = pa.len < pb.len ? pb : pa;
         if (!wide.contains(narrow.network())) continue;
         const auto* ia = narrow == pa ? a->second : b->second;
-        const DeviceView& dev = net.devices()[ia->device];
-        sink.report(dev, ia->stanza,
-                    format_prefix(narrow) + " overlaps " + format_prefix(wide));
+        sink.report(net.devices()[ia->device], ia->stanza, [&] {
+          return concat({format_prefix(narrow), " overlaps ", format_prefix(wide)});
+        });
       }
     }
   }
@@ -336,17 +386,18 @@ class OneSidedBgpRule final : public LintRule {
   void check_network(const NetworkView& net, LintSink& sink) const override {
     for (const auto& proc : net.bgp_procs()) {
       const DeviceView& dev = net.devices()[proc.device];
-      for (const auto& v : proc.stanza->get_all("neighbor")) {
-        const auto tokens = split_ws(v);
-        if (tokens.empty()) continue;
-        const auto ip = parse_ipv4(tokens[0]);
-        if (!ip) continue;
+      for_each_value(*proc.stanza, "neighbor", [&](const std::string& v) {
+        const std::string_view peer = first_token(v);
+        if (peer.empty()) return;
+        const auto ip = parse_ipv4(peer);
+        if (!ip) return;
         const std::size_t owner = net.owner_of(*ip);
-        if (owner == NetworkView::npos || net.runs_bgp(owner)) continue;
-        sink.report(dev, proc.stanza,
-                    "neighbor " + tokens[0] + " (" + net.devices()[owner].device_id() +
-                        " runs no BGP process)");
-      }
+        if (owner == NetworkView::npos || net.runs_bgp(owner)) return;
+        sink.report(dev, proc.stanza, [&] {
+          return concat({"neighbor ", peer, " (", net.devices()[owner].device_id(),
+                         " runs no BGP process)"});
+        });
+      });
     }
   }
 };
@@ -359,24 +410,25 @@ class BgpAsMismatchRule final : public LintRule {
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
     // AS number of each BGP-speaking device: the process stanza's name.
-    std::map<std::size_t, std::string> as_of;
+    std::map<std::size_t, std::string_view> as_of;
     for (const auto& proc : net.bgp_procs()) as_of.emplace(proc.device, proc.stanza->name);
     for (const auto& proc : net.bgp_procs()) {
       const DeviceView& dev = net.devices()[proc.device];
-      for (const auto& v : proc.stanza->get_all("neighbor")) {
-        const auto tokens = split_ws(v);
+      for_each_value(*proc.stanza, "neighbor", [&](const std::string& v) {
         // "neighbor <ip> remote-as <asn>"
-        if (tokens.size() < 3 || tokens[1] != "remote-as") continue;
-        const auto ip = parse_ipv4(tokens[0]);
-        if (!ip) continue;
+        const auto [peer, keyword, asn] = words<3>(v);
+        if (asn.empty() || keyword != "remote-as") return;
+        const auto ip = parse_ipv4(peer);
+        if (!ip) return;
         const std::size_t owner = net.owner_of(*ip);
-        if (owner == NetworkView::npos) continue;
+        if (owner == NetworkView::npos) return;
         const auto peer_as = as_of.find(owner);
-        if (peer_as == as_of.end() || peer_as->second == tokens[2]) continue;
-        sink.report(dev, proc.stanza,
-                    "neighbor " + tokens[0] + " remote-as " + tokens[2] + " but " +
-                        net.devices()[owner].device_id() + " runs AS " + peer_as->second);
-      }
+        if (peer_as == as_of.end() || peer_as->second == asn) return;
+        sink.report(dev, proc.stanza, [&] {
+          return concat({"neighbor ", peer, " remote-as ", asn, " but ",
+                         net.devices()[owner].device_id(), " runs AS ", peer_as->second});
+        });
+      });
     }
   }
 };
@@ -391,28 +443,28 @@ class OspfAreaMismatchRule final : public LintRule {
     struct Claim {
       std::size_t device;
       const Stanza* stanza;
-      std::string area;
+      std::string_view area;
     };
-    std::map<std::string, std::vector<Claim>> by_prefix;
+    std::map<std::string_view, std::vector<Claim>> by_prefix;
     for (std::size_t d = 0; d < net.devices().size(); ++d) {
-      for (const auto& s : net.devices()[d].config().stanzas()) {
-        if (constructs_of(s.type) != std::vector<std::string>{"ospf"}) continue;
-        for (const auto& v : s.get_all("network")) {
+      for (const Stanza* s : net.devices()[d].of_construct("ospf")) {
+        for_each_value(*s, "network", [&](const std::string& v) {
           // "network <prefix> area <id>"
-          const auto tokens = split_ws(v);
-          if (tokens.size() < 3 || tokens[1] != "area") continue;
-          by_prefix[tokens[0]].push_back(Claim{d, &s, tokens[2]});
-        }
+          const auto [prefix, keyword, area] = words<3>(v);
+          if (area.empty() || keyword != "area") return;
+          by_prefix[prefix].push_back(Claim{d, s, area});
+        });
       }
     }
     for (const auto& [prefix, claims] : by_prefix) {
-      std::set<std::string> areas;
+      std::set<std::string_view> areas;
       for (const auto& c : claims) areas.insert(c.area);
       if (areas.size() <= 1) continue;
       for (const auto& c : claims) {
-        sink.report(net.devices()[c.device], c.stanza,
-                    prefix + " claimed in area " + c.area + " (network also uses " +
-                        join(std::vector<std::string>(areas.begin(), areas.end()), ", ") + ")");
+        sink.report(net.devices()[c.device], c.stanza, [&] {
+          const std::string all = join(std::vector<std::string>(areas.begin(), areas.end()), ", ");
+          return concat({prefix, " claimed in area ", c.area, " (network also uses ", all, ")"});
+        });
       }
     }
   }
@@ -430,24 +482,26 @@ class MtuMismatchRule final : public LintRule {
     struct End {
       std::size_t device;
       const Stanza* stanza;
-      std::string mtu;
+      std::string_view mtu;
     };
     std::map<Ipv4Prefix, std::vector<End>> links;
     for (const auto& ia : net.iface_addrs()) {
-      const auto mtu = ia.stanza->get("mtu");
-      if (!mtu) continue;
-      links[ia.prefix.subnet()].push_back(End{ia.device, ia.stanza, *mtu});
+      const auto& opts = ia.stanza->options;
+      const auto mtu = std::find_if(opts.begin(), opts.end(),
+                                    [](const Option& o) { return o.key == "mtu"; });
+      if (mtu == opts.end()) continue;
+      links[ia.prefix.subnet()].push_back(End{ia.device, ia.stanza, mtu->value});
     }
     for (const auto& [subnet, ends] : links) {
-      const std::string& first = ends.front().mtu;
-      bool mismatch = false;
-      for (const auto& e : ends)
-        if (e.mtu != first) mismatch = true;
+      const std::string_view first = ends.front().mtu;
+      const bool mismatch =
+          std::any_of(ends.begin(), ends.end(), [&](const End& e) { return e.mtu != first; });
       if (!mismatch) continue;
       for (const auto& e : ends) {
-        sink.report(net.devices()[e.device], e.stanza,
-                    e.stanza->name + " mtu " + e.mtu + " on link " + format_prefix(subnet) +
-                        " (peers disagree)");
+        sink.report(net.devices()[e.device], e.stanza, [&] {
+          return concat({e.stanza->name, " mtu ", e.mtu, " on link ", format_prefix(subnet),
+                         " (peers disagree)"});
+        });
       }
     }
   }
@@ -460,23 +514,23 @@ class VlanSpanGapRule final : public LintRule {
             LintCategory::kProtocol, LintSeverity::kWarning};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    // Where each VLAN id is defined, network-wide.
-    std::map<std::string, std::vector<std::size_t>> defined_on;
+    // The first device defining each VLAN id, network-wide.
+    std::map<std::string_view, std::size_t> defined_on;
     for (std::size_t d = 0; d < net.devices().size(); ++d)
-      for (const auto& name : net.devices()[d].names_of("vlan"))
-        defined_on[name].push_back(d);
-    for (std::size_t d = 0; d < net.devices().size(); ++d) {
-      const DeviceView& dev = net.devices()[d];
-      for (const auto& s : dev.config().stanzas()) {
-        if (normalize_type(s.type) != "interface") continue;
-        for (const auto& vlan : referenced_vlans(s)) {
-          if (dev.defines("vlan", vlan)) continue;
+      for (const std::string_view name : net.devices()[d].names_of("vlan"))
+        defined_on.emplace(name, d);
+    if (defined_on.empty()) return;
+    for (const DeviceView& dev : net.devices()) {
+      for (const Stanza* s : dev.of_type("interface")) {
+        for_each_referenced_vlan(*s, [&](std::string_view vlan) {
+          if (dev.defines("vlan", vlan)) return;
           const auto it = defined_on.find(vlan);
-          if (it == defined_on.end() || it->second.empty()) continue;  // dangling-vlan-ref's case
-          sink.report(dev, &s,
-                      s.name + " uses vlan " + vlan + " defined on " +
-                          net.devices()[it->second.front()].device_id() + " but not here");
-        }
+          if (it == defined_on.end()) return;  // dangling-vlan-ref's case
+          sink.report(dev, s, [&] {
+            return concat({s->name, " uses vlan ", vlan, " defined on ",
+                           net.devices()[it->second].device_id(), " but not here"});
+          });
+        });
       }
     }
   }

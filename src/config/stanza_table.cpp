@@ -1,5 +1,6 @@
 #include "config/stanza_table.hpp"
 
+#include "config/lint.hpp"
 #include "util/hash.hpp"
 
 namespace mpa {
@@ -13,7 +14,8 @@ std::size_t StanzaTable::KeyHash::operator()(const Key& k) const {
          fnv1a_words(k.second.data(), k.second.size());
 }
 
-void StanzaTable::intern(std::string_view text, Dialect d, std::vector<StanzaId>& out) {
+void StanzaTable::intern(std::string_view text, Dialect d, std::vector<StanzaId>& out,
+                         LintSource* source) {
   StanzaChunker chunks(text, d);
   while (const auto chunk = chunks.next()) {
     const auto [it, fresh] = ids_.try_emplace(Chunk{*chunk, d}, static_cast<StanzaId>(size()));
@@ -24,7 +26,9 @@ void StanzaTable::intern(std::string_view text, Dialect d, std::vector<StanzaId>
       key_of_.push_back(key.first->second);
     }
     out.push_back(it->second);
+    if (source != nullptr) source->add(stanza(it->second).type, stanza(it->second).name, chunks);
   }
+  if (source != nullptr) source->finish(chunks);
 }
 
 DeviceConfig StanzaTable::config(std::span<const StanzaId> ids, std::string device_id) const {

@@ -28,14 +28,19 @@
 
 namespace mpa {
 
+class LintSource;
+
 using StanzaId = std::uint32_t;
 
 class StanzaTable {
  public:
   /// Append the ids of `text`'s stanzas, in text order, to `out`.
   /// Throws the DataError parse() throws for malformed text. Chunks are
-  /// referenced, not copied: `text` must outlive the table.
-  void intern(std::string_view text, Dialect d, std::vector<StanzaId>& out);
+  /// referenced, not copied: `text` must outlive the table. With a
+  /// `source`, the same walk also records the text's spans and pragmas
+  /// into it; its (type, name) views then point into this table.
+  void intern(std::string_view text, Dialect d, std::vector<StanzaId>& out,
+              LintSource* source = nullptr);
 
   const Stanza& stanza(StanzaId id) const { return stanzas_[id]; }
   /// Number of distinct stanzas interned.

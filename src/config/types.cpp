@@ -1,5 +1,6 @@
 #include "config/types.hpp"
 
+#include <algorithm>
 #include <array>
 #include <utility>
 
@@ -51,6 +52,15 @@ constexpr std::array<TypeMapping, 26> kTypeMap = {{
     {"sflow", "sflow"},
 }};
 
+// kTypeMap ordered by native length.
+constexpr auto kByLength = [] {
+  auto sorted = kTypeMap;
+  std::sort(sorted.begin(), sorted.end(), [](const TypeMapping& a, const TypeMapping& b) {
+    return a.native.size() < b.native.size();
+  });
+  return sorted;
+}();
+
 }  // namespace
 
 std::string normalize_type(std::string_view native_type) {
@@ -58,8 +68,15 @@ std::string normalize_type(std::string_view native_type) {
 }
 
 std::string_view agnostic_type(std::string_view native_type) {
-  for (const auto& m : kTypeMap)
-    if (m.native == native_type) return m.agnostic;
+  // Inference asks this of every stanza of every month-end state, so a
+  // lookup compares only the names of the same length.
+  const auto same_length = std::lower_bound(
+      kByLength.begin(), kByLength.end(), native_type.size(),
+      [](const TypeMapping& m, std::size_t n) { return m.native.size() < n; });
+  for (auto it = same_length; it != kByLength.end() && it->native.size() == native_type.size();
+       ++it) {
+    if (it->native == native_type) return it->agnostic;
+  }
   return native_type;
 }
 
@@ -77,15 +94,24 @@ PlaneLayer layer_of(std::string_view construct) {
 }
 
 std::vector<std::string> constructs_of(std::string_view native_type) {
-  const std::string_view agnostic = agnostic_type(native_type);
+  const std::string_view construct = construct_of(native_type);
+  if (construct.empty()) return {};
+  return {std::string(construct)};
+}
+
+std::string_view construct_of(std::string_view native_type) {
+  return construct_of(native_type, agnostic_type(native_type));
+}
+
+std::string_view construct_of(std::string_view native_type, std::string_view agnostic) {
   if (agnostic == "router") {
     // The protocol is the routing-process flavour, recoverable from the
     // native type on both dialects.
-    if (native_type.find("bgp") != std::string_view::npos) return {"bgp"};
-    if (native_type.find("ospf") != std::string_view::npos) return {"ospf"};
+    if (native_type.find("bgp") != std::string_view::npos) return "bgp";
+    if (native_type.find("ospf") != std::string_view::npos) return "ospf";
     return {};
   }
-  if (layer_of(agnostic) != PlaneLayer::kNeither) return {std::string(agnostic)};
+  if (layer_of(agnostic) != PlaneLayer::kNeither) return agnostic;
   return {};
 }
 

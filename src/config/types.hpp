@@ -43,4 +43,11 @@ PlaneLayer layer_of(std::string_view construct);
 /// are the unit of Figure 11(b)'s protocol counts.
 std::vector<std::string> constructs_of(std::string_view native_type);
 
+/// constructs_of() without the copies: a stanza instantiates at most one
+/// construct, returned as a view of a static name or of `native_type`
+/// (empty when it instantiates none).
+std::string_view construct_of(std::string_view native_type);
+/// construct_of() of a type whose agnostic_type() is already known.
+std::string_view construct_of(std::string_view native_type, std::string_view agnostic);
+
 }  // namespace mpa

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <span>
 
 #include "config/dialect.hpp"
@@ -15,38 +16,51 @@ namespace mpa {
 namespace {
 
 /// Interned snapshot timeline of one device, plus its month-end state:
-/// the config, lint source and reference facts of the latest snapshot
-/// a month end selected, built once per selected snapshot.
+/// the config, lint source, reference facts and device-scope lint of
+/// the latest snapshot a month end selected, built once per selected
+/// snapshot.
 struct DeviceTimeline {
   const ConfigSnapshot* snaps = nullptr;  ///< First snapshot of the parsed suffix.
   Dialect dialect = Dialect::kIosLike;
   std::vector<Timestamp> times;
   std::vector<StanzaId> ids;         ///< Every snapshot's stanza ids, concatenated.
   std::vector<std::size_t> offsets;  ///< Snapshot i's ids: [offsets[i], offsets[i + 1]).
+  /// The snapshots some month end selects, ascending, and their lint
+  /// sources, recorded by the interning walk.
+  std::vector<int> selected;
+  std::vector<LintSource> sources;
 
   int state_idx = -1;
   DeviceConfig config;
-  LintSource source;
   RefFacts refs;
+  std::optional<DeviceView> view;  ///< Lint view of config, with its source.
+  LintTally lint;                  ///< The state's device-scope lint.
 
   std::span<const StanzaId> ids_of(std::size_t i) const {
     return std::span<const StanzaId>(ids).subspan(offsets[i], offsets[i + 1] - offsets[i]);
   }
 
-  /// Index of the last snapshot strictly before `t`, or -1.
-  int state_before(Timestamp t) const {
-    const auto it = std::lower_bound(times.begin(), times.end(), t);
+  /// Index of the last snapshot strictly before the end of month `m`,
+  /// or -1.
+  int state_at_end_of(int m) const {
+    const auto it = std::lower_bound(times.begin(), times.end(), month_start(m + 1));
     return static_cast<int>(it - times.begin()) - 1;
   }
 
   /// Make snapshot `idx` the month-end state. Month ends only move
-  /// forward, so each snapshot is materialized at most once.
-  void select(int idx, const StanzaTable& table, const std::string& device_id) {
+  /// forward, so each snapshot is materialized and device-linted at
+  /// most once.
+  void select(int idx, const StanzaTable& table, const std::string& device_id,
+              const LintOptions& lint_opts) {
     if (idx == state_idx) return;
     const auto i = static_cast<std::size_t>(idx);
     config = table.config(ids_of(i), device_id);
-    source = LintSource::scan(snaps[i].text, dialect);
     refs = ref_facts(config);
+    const auto slot = std::lower_bound(selected.begin(), selected.end(), idx) - selected.begin();
+    view.emplace(config, &sources[static_cast<std::size_t>(slot)]);
+    lint = LintTally{};
+    LintSink sink(lint_opts, lint);
+    run_device_rules(*view, sink);
     state_idx = idx;
   }
 };
@@ -100,11 +114,20 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     tl.snaps = &snaps[begin];
     tl.dialect = dialect_of(d->vendor);
     tl.times.reserve(snaps.size() - begin);
-    tl.offsets.reserve(snaps.size() - begin + 1);
+    for (std::size_t i = begin; i < snaps.size(); ++i) tl.times.push_back(snaps[i].time);
+    for (int m = first_month; m < opts.num_months; ++m) {
+      const int idx = tl.state_at_end_of(m);
+      if (idx >= 0 && (tl.selected.empty() || tl.selected.back() != idx))
+        tl.selected.push_back(idx);
+    }
+    tl.sources.resize(tl.selected.size());
+    tl.offsets.reserve(tl.times.size() + 1);
     tl.offsets.push_back(0);
-    for (std::size_t i = begin; i < snaps.size(); ++i) {
-      tl.times.push_back(snaps[i].time);
-      table.intern(snaps[i].text, tl.dialect, tl.ids);
+    for (std::size_t i = 0, next = 0; i < tl.times.size(); ++i) {
+      LintSource* source = nullptr;
+      if (next < tl.selected.size() && tl.selected[next] == static_cast<int>(i))
+        source = &tl.sources[next++];
+      table.intern(tl.snaps[i].text, tl.dialect, tl.ids, source);
       tl.offsets.push_back(tl.ids.size());
     }
     for (std::size_t i = 1; i < tl.times.size(); ++i) {
@@ -133,7 +156,6 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
   std::vector<Case> rows;
   rows.reserve(static_cast<std::size_t>(opts.num_months - first_month));
   std::vector<DeviceState> state;
-  std::vector<LintInput> lint_inputs;
   for (int m = first_month; m < opts.num_months; ++m) {
     const Timestamp m_start = month_start(m);
     const Timestamp m_end = month_start(m + 1);
@@ -144,19 +166,25 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
 
     // Design metrics from the configuration state at month end.
     state.clear();
-    lint_inputs.clear();
+    std::vector<DeviceView> views;
+    LintTally lint;
     for (auto& [dev_id, tl] : timelines) {
-      const int idx = tl.state_before(m_end);
+      const int idx = tl.state_at_end_of(m);
       if (idx < 0) continue;
-      tl.select(idx, table, dev_id);
+      tl.select(idx, table, dev_id, opts.lint);
       state.push_back(DeviceState{&tl.config, &tl.refs});
-      lint_inputs.push_back(LintInput{&tl.config, &tl.source});
+      views.push_back(*tl.view);
+      lint += tl.lint;
     }
     compute_design_metrics(net, devices, state, row);
 
-    // Hygiene metrics from linting the same month-end state.
-    const auto diags = run_lint(lint_inputs, opts.lint);
-    apply_lint_metrics(LintSummary::of(diags, lint_inputs.size()), row);
+    // Hygiene metrics from linting the same month-end state: the device
+    // passes counted when each state was selected, plus a network pass
+    // over the same views.
+    const std::size_t num_linted = views.size();
+    LintSink sink(opts.lint, lint);
+    run_network_rules(NetworkView(std::move(views)), sink);
+    apply_lint_metrics(LintSummary::of(lint, num_linted), row);
 
     // Operational metrics from this month's changes.
     std::vector<const ChangeRecord*> month_changes;

@@ -1,5 +1,6 @@
 #include "metrics/lint_metrics.hpp"
 
+#include <algorithm>
 #include <set>
 #include <string_view>
 
@@ -19,6 +20,17 @@ LintSummary LintSummary::of(const std::vector<Diagnostic>& diags, std::size_t nu
     rules.insert(d.rule_id);
   }
   s.rules_hit = static_cast<int>(rules.size());
+  if (num_devices > 0) s.density = static_cast<double>(s.total) / static_cast<double>(num_devices);
+  return s;
+}
+
+LintSummary LintSummary::of(const LintTally& tally, std::size_t num_devices) {
+  LintSummary s;
+  s.total = tally.total;
+  s.by_category = tally.by_category;
+  s.by_severity = tally.by_severity;
+  s.suppressed = tally.suppressed;
+  s.rules_hit = static_cast<int>(std::count(tally.rules_hit.begin(), tally.rules_hit.end(), true));
   if (num_devices > 0) s.density = static_cast<double>(s.total) / static_cast<double>(num_devices);
   return s;
 }

@@ -29,6 +29,8 @@ struct LintSummary {
   double density = 0.0;  ///< total / num_devices (0 when no devices).
 
   static LintSummary of(const std::vector<Diagnostic>& diags, std::size_t num_devices);
+  /// The same summary from the counts a tallying LintSink kept.
+  static LintSummary of(const LintTally& tally, std::size_t num_devices);
 };
 
 /// Write the summary's metrics into a case row.

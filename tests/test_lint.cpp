@@ -485,15 +485,20 @@ TEST(LintSpans, ScanSourceAgreesWithParse) {
     c.add(make(v.iface, "Eth0", {{v.ip_key, "10.0.0.1/24"}}));
     c.add(make(v.bgp, "65001", {{"neighbor", "10.0.0.2 remote-as 65002"}}));
     const std::string text = render(c, d);
-    const SourceMap map = scan_source(text, d);
     const DeviceConfig parsed = parse(text, d, "dev");
-    ASSERT_EQ(map.stanzas.size(), parsed.stanzas().size());
-    for (std::size_t i = 0; i < map.stanzas.size(); ++i) {
-      EXPECT_EQ(map.stanzas[i].type, parsed.stanzas()[i].type);
-      EXPECT_EQ(map.stanzas[i].name, parsed.stanzas()[i].name);
-      EXPECT_GT(map.stanzas[i].first_line, 0);
-      EXPECT_GE(map.stanzas[i].last_line, map.stanzas[i].first_line);
+    const LintSource src = LintSource::scan(text, d);
+    StanzaChunker walk(text, d);
+    std::size_t i = 0;
+    for (; const auto chunk = walk.next(); ++i) {
+      ASSERT_LT(i, parsed.stanzas().size());
+      const auto [type, name] = stanza_key(*chunk, d);
+      EXPECT_EQ(type, parsed.stanzas()[i].type);
+      EXPECT_EQ(name, parsed.stanzas()[i].name);
+      EXPECT_GT(walk.first_line(), 0);
+      EXPECT_GE(walk.last_line(), walk.first_line());
+      EXPECT_EQ(src.span_of(type, name), (SourceSpan{walk.first_line(), walk.last_line()}));
     }
+    EXPECT_EQ(i, parsed.stanzas().size());
   }
 }
 
