@@ -6,7 +6,6 @@
 #include <memory>
 #include <span>
 
-#include "config/types.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -137,32 +136,43 @@ const LintRule* RuleRegistry::find(std::string_view id) const {
 
 // ----------------------------------------------------------------- views
 
+DeviceView::DeviceView(const std::string& device_id, std::vector<const StanzaFacts*> stanzas,
+                       const LintSource* source)
+    : device_id_(&device_id), source_(source) {
+  auto index = std::make_shared<Index>();
+  index->stanzas = std::move(stanzas);
+  index->build();
+  index_ = std::move(index);
+}
+
 DeviceView::DeviceView(const DeviceConfig& config, const LintSource* source)
-    : config_(&config), source_(source) {
+    : device_id_(&config.device_id()), source_(source) {
+  auto index = std::make_shared<Index>();
+  index->owned.reserve(config.stanzas().size());  // stanzas point into it
+  for (const auto& s : config.stanzas())
+    index->stanzas.push_back(&index->owned.emplace_back(stanza_facts(s, nullptr)));
+  index->build();
+  index_ = std::move(index);
+}
+
+void DeviceView::Index::build() {
   const auto group = [](std::vector<Group>& groups, std::string_view key) -> Group& {
     for (auto& g : groups)
       if (g.key == key) return g;
     return groups.emplace_back(Group{key, {}, {}});
   };
-  auto index = std::make_shared<Index>();
-  for (const auto& s : config.stanzas()) {
-    const std::string_view agnostic = agnostic_type(s.type);
-    Group& type = group(index->types, agnostic);
-    type.stanzas.push_back(&s);
-    type.names.push_back(s.name);
-    if (const std::string_view c = construct_of(s.type, agnostic); !c.empty())
-      group(index->constructs, c).stanzas.push_back(&s);
-    if (agnostic != "interface") continue;
-    for (const auto& o : s.options) {
-      if (o.key != "ip address" && o.key != "ip-address") continue;
-      if (const auto p = parse_prefix(o.value)) index->addresses.push_back(Address{&s, *p});
-    }
+  for (const StanzaFacts* f : stanzas) {
+    const Stanza* s = f->stanza;
+    Group& type = group(types, f->agnostic);
+    type.stanzas.push_back(s);
+    type.names.push_back(s->name);
+    if (!f->construct.empty()) group(constructs, f->construct).stanzas.push_back(s);
+    for (const Ipv4Prefix& p : f->addresses) addresses.push_back(Address{s, p});
   }
-  for (auto& t : index->types) {
+  for (auto& t : types) {
     std::sort(t.names.begin(), t.names.end());
     t.names.erase(std::unique(t.names.begin(), t.names.end()), t.names.end());
   }
-  index_ = std::move(index);
 }
 
 const DeviceView::Group& DeviceView::find(const std::vector<Group>& groups, std::string_view key) {

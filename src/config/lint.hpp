@@ -42,6 +42,7 @@
 
 #include "config/addr.hpp"
 #include "config/dialect.hpp"
+#include "config/facts.hpp"
 #include "config/stanza.hpp"
 
 namespace mpa {
@@ -249,17 +250,26 @@ std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network
 
 // ------------------------------------------------ rule execution contexts
 
-/// Device under analysis with the indexes its rules share. The config
-/// is indexed once, on construction; copies share the indexes, so one
-/// view can serve a device pass and every network pass it joins.
+/// Device under analysis with the indexes its rules share: a device id
+/// and its stanzas' facts (facts.hpp), indexed once, on construction;
+/// copies share the indexes, so one view can serve a device pass and
+/// every network pass it joins.
 class DeviceView {
  public:
+  /// A view of stanzas whose facts are already derived (e.g. by a
+  /// StanzaTable), in config order. `device_id` and the facts must
+  /// outlive the view.
+  DeviceView(const std::string& device_id, std::vector<const StanzaFacts*> stanzas,
+             const LintSource* source);
+  /// A view of a parsed config; derives its stanzas' facts. `config`
+  /// must outlive the view.
   DeviceView(const DeviceConfig& config, const LintSource* source);
 
-  const DeviceConfig& config() const { return *config_; }
   const LintSource* source() const { return source_; }
-  const std::string& device_id() const { return config_->device_id(); }
+  const std::string& device_id() const { return *device_id_; }
 
+  /// Every stanza with its facts, in config order.
+  const std::vector<const StanzaFacts*>& stanzas() const { return index_->stanzas; }
   /// Stanzas whose agnostic type matches, in config order.
   const std::vector<const Stanza*>& of_type(std::string_view agnostic) const;
   /// Their names, sorted and unique.
@@ -284,12 +294,16 @@ class DeviceView {
     std::vector<std::string_view> names;  ///< Sorted, unique (type groups only).
   };
   struct Index {
+    std::vector<StanzaFacts> owned;  ///< Facts derived by the view itself.
+    std::vector<const StanzaFacts*> stanzas;
     std::vector<Group> types, constructs;
     std::vector<Address> addresses;
+    /// Fill the groups and addresses from `stanzas`.
+    void build();
   };
   static const Group& find(const std::vector<Group>& groups, std::string_view key);
 
-  const DeviceConfig* config_;
+  const std::string* device_id_;
   const LintSource* source_;
   std::shared_ptr<const Index> index_;
 };

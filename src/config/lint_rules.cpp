@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "config/lint.hpp"
-#include "config/types.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -122,14 +121,14 @@ class DanglingVlanRefRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
-      const std::string_view agnostic = agnostic_type(s.type);
-      if (agnostic == "interface") {
+    for (const StanzaFacts* f : dev.stanzas()) {
+      const Stanza& s = *f->stanza;
+      if (f->agnostic == "interface") {
         for_each_referenced_vlan(s, [&](std::string_view vlan) {
           if (!dev.defines("vlan", vlan))
             sink.report(dev, &s, [&] { return concat({s.name, " -> vlan '", vlan, "'"}); });
         });
-      } else if (agnostic == "vlan") {
+      } else if (f->agnostic == "vlan") {
         for_each_value(s, "interface", [&](const std::string& name) {
           if (!dev.defines("interface", name))
             sink.report(dev, &s,

@@ -14,11 +14,9 @@
 // aggregate by all aspects of a network's design."
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
-#include "config/addr.hpp"
+#include "config/facts.hpp"
 #include "config/stanza.hpp"
 
 namespace mpa {
@@ -50,28 +48,9 @@ struct NetworkComplexity {
 
 NetworkComplexity referential_complexity(const std::vector<DeviceConfig>& network);
 
-/// Everything referential complexity reads from one device config:
-/// what it defines that peers may name, and where it names peers.
-/// Computed once per distinct config, so a network-month costs one
-/// fold over its devices' facts instead of re-gathering every peer's
-/// facts for every device.
-struct RefFacts {
-  std::string device_id;
-  int intra = 0;  ///< count_intra_refs()
-  // Defined here (sorted; addrs and subnets also unique):
-  std::vector<std::uint32_t> addrs;  ///< Interface addresses.
-  std::vector<Ipv4Prefix> subnets;   ///< Their canonical subnets.
-  std::vector<std::string> vlans;    ///< One name per VLAN stanza.
-  // Inter-device reference sites besides the VLAN stanzas:
-  std::vector<std::uint32_t> neighbor_ips;  ///< Router `neighbor` addresses.
-  std::vector<Ipv4Prefix> network_subnets;  ///< Router `network` statement subnets.
-};
-
-RefFacts ref_facts(const DeviceConfig& dev);
-
-/// referential_complexity() of the configs the facts were taken from.
-/// Configs sharing a device id count as one device's, as in
+/// referential_complexity() of the device states the facts were taken
+/// from. States sharing a device id count as one device's, as in
 /// count_inter_refs().
-NetworkComplexity fold_referential_complexity(const std::vector<const RefFacts*>& network);
+NetworkComplexity fold_referential_complexity(const std::vector<const DeviceFacts*>& network);
 
 }  // namespace mpa

@@ -1,12 +1,8 @@
 #include "config/routing.hpp"
 
+#include <algorithm>
 #include <map>
 #include <numeric>
-#include <set>
-
-#include "config/addr.hpp"
-#include "config/types.hpp"
-#include "util/strings.hpp"
 
 namespace mpa {
 namespace {
@@ -30,108 +26,83 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-// Facts about one process that adjacency rules consult.
-struct ProcFacts {
-  RoutingProcess proc;
-  std::set<std::uint32_t> neighbor_ips;  // BGP neighbor targets
-  std::set<Ipv4Prefix> subnets;          // canonical subnets of network stmts
-  std::set<std::uint32_t> local_addrs;   // device interface addresses
-  std::string region;                    // MSTP region
+std::string_view to_string(RoutingProtocol p) {
+  switch (p) {
+    case RoutingProtocol::kBgp: return "bgp";
+    case RoutingProtocol::kOspf: return "ospf";
+    case RoutingProtocol::kMstp: return "mstp";
+  }
+  return {};
+}
+
+/// One process with the device state it runs on.
+struct Process {
+  const DeviceFacts* device = nullptr;
+  const ProcessFacts* facts = nullptr;
 };
 
-std::vector<ProcFacts> gather_facts(const std::vector<const DeviceConfig*>& network) {
-  std::vector<ProcFacts> out;
-  for (const DeviceConfig* cfg : network) {
-    const DeviceConfig& dev = *cfg;
-    // Device interface addresses, shared by every process on the device.
-    std::set<std::uint32_t> addrs;
-    for (const auto& s : dev.stanzas()) {
-      if (agnostic_type(s.type) != "interface") continue;
-      for (const auto& o : s.options) {
-        if (o.key == "ip address" || o.key == "ip-address") {
-          if (const auto p = parse_prefix(o.value)) addrs.insert(p->addr);
-        }
-      }
-    }
-    for (const auto& s : dev.stanzas()) {
-      const std::string_view agnostic = agnostic_type(s.type);
-      if (agnostic == "router") {
-        const auto constructs = constructs_of(s.type);
-        if (constructs.empty()) continue;
-        ProcFacts f;
-        f.proc = RoutingProcess{dev.device_id(), constructs[0], s.name};
-        f.local_addrs = addrs;
-        for (const auto& o : s.options) {
-          if (o.key == "neighbor") {
-            if (const auto ip = parse_ipv4(first_token(o.value))) f.neighbor_ips.insert(*ip);
-          } else if (o.key == "network") {
-            if (const auto p = parse_prefix(first_token(o.value))) f.subnets.insert(p->subnet());
-          }
-        }
-        out.push_back(std::move(f));
-      } else if (agnostic == "spanning-tree") {
-        ProcFacts f;
-        f.proc = RoutingProcess{dev.device_id(), "mstp", s.name};
-        f.local_addrs = addrs;
-        f.region = s.get("region").value_or(s.name);
-        out.push_back(std::move(f));
-      }
-    }
-  }
+std::vector<Process> processes_of(const std::vector<const DeviceFacts*>& network) {
+  std::vector<Process> out;
+  for (const DeviceFacts* d : network)
+    for (const ProcessFacts& p : d->processes) out.push_back(Process{d, &p});
   return out;
 }
 
-bool adjacent(const ProcFacts& a, const ProcFacts& b) {
-  if (a.proc.protocol != b.proc.protocol) return false;
-  if (a.proc.device_id == b.proc.device_id) return false;
-  if (a.proc.protocol == "bgp") {
-    for (std::uint32_t ip : a.neighbor_ips)
-      if (b.local_addrs.count(ip)) return true;
-    for (std::uint32_t ip : b.neighbor_ips)
-      if (a.local_addrs.count(ip)) return true;
-    return false;
+bool adjacent(const Process& a, const Process& b) {
+  const RoutingProtocol protocol = a.facts->protocol;
+  if (protocol != b.facts->protocol) return false;
+  const StanzaFacts& sa = *a.facts->stanza;
+  const StanzaFacts& sb = *b.facts->stanza;
+  bool linked = false;
+  if (protocol == RoutingProtocol::kBgp) {
+    // One names an interface address of the other's device.
+    const auto names_addr_of = [](const StanzaFacts& s, const DeviceFacts& peer) {
+      return std::any_of(s.neighbors.begin(), s.neighbors.end(), [&](std::uint32_t ip) {
+        return std::binary_search(peer.refs.addrs.begin(), peer.refs.addrs.end(), ip);
+      });
+    };
+    linked = names_addr_of(sa, *b.device) || names_addr_of(sb, *a.device);
+  } else if (protocol == RoutingProtocol::kOspf) {
+    // Their network statements cover a common subnet.
+    linked = std::any_of(sa.networks.begin(), sa.networks.end(), [&](const Ipv4Prefix& p) {
+      return std::find(sb.networks.begin(), sb.networks.end(), p) != sb.networks.end();
+    });
+  } else {
+    linked = !sa.region.empty() && sa.region == sb.region;
   }
-  if (a.proc.protocol == "ospf") {
-    for (const auto& s : a.subnets)
-      if (b.subnets.count(s)) return true;
-    return false;
-  }
-  if (a.proc.protocol == "mstp") return a.region == b.region && !a.region.empty();
-  return false;
+  return linked && a.device->refs.device_id != b.device->refs.device_id;
 }
 
-std::vector<const DeviceConfig*> borrow(const std::vector<DeviceConfig>& network) {
-  std::vector<const DeviceConfig*> out;
-  out.reserve(network.size());
-  for (const auto& dev : network) out.push_back(&dev);
-  return out;
+/// Unites every adjacent pair, in (i, j) order.
+UnionFind unite_adjacent(const std::vector<Process>& procs) {
+  UnionFind uf(procs.size());
+  for (std::size_t i = 0; i < procs.size(); ++i)
+    for (std::size_t j = i + 1; j < procs.size(); ++j)
+      if (adjacent(procs[i], procs[j])) uf.unite(i, j);
+  return uf;
 }
 
 }  // namespace
 
 std::vector<RoutingProcess> extract_processes(const std::vector<DeviceConfig>& network) {
+  const NetworkFacts facts = network_facts(network);
   std::vector<RoutingProcess> out;
-  for (auto& f : gather_facts(borrow(network))) out.push_back(std::move(f.proc));
+  for (const Process& p : processes_of(facts.borrow()))
+    out.push_back(RoutingProcess{std::string(p.device->refs.device_id),
+                                 std::string(to_string(p.facts->protocol)),
+                                 p.facts->stanza->stanza->name});
   return out;
 }
 
 std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceConfig>& network) {
-  return routing_instances_of(borrow(network));
-}
-
-std::vector<RoutingInstance> routing_instances_of(const std::vector<const DeviceConfig*>& network) {
-  const auto facts = gather_facts(network);
-  UnionFind uf(facts.size());
-  for (std::size_t i = 0; i < facts.size(); ++i)
-    for (std::size_t j = i + 1; j < facts.size(); ++j)
-      if (adjacent(facts[i], facts[j])) uf.unite(i, j);
-
+  const NetworkFacts facts = network_facts(network);
+  const std::vector<Process> procs = processes_of(facts.borrow());
+  UnionFind uf = unite_adjacent(procs);
   std::map<std::size_t, RoutingInstance> groups;
-  for (std::size_t i = 0; i < facts.size(); ++i) {
-    const std::size_t root = uf.find(i);
-    auto& inst = groups[root];
-    inst.protocol = facts[i].proc.protocol;
-    inst.member_devices.push_back(facts[i].proc.device_id);
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    auto& inst = groups[uf.find(i)];
+    inst.protocol = to_string(procs[i].facts->protocol);
+    inst.member_devices.emplace_back(procs[i].device->refs.device_id);
   }
   std::vector<RoutingInstance> out;
   out.reserve(groups.size());
@@ -150,6 +121,25 @@ InstanceStats instance_stats(const std::vector<RoutingInstance>& instances,
   }
   if (st.count > 0) st.mean_size = total / st.count;
   return st;
+}
+
+RoutingStats routing_stats(const std::vector<const DeviceFacts*>& network) {
+  const std::vector<Process> procs = processes_of(network);
+  UnionFind uf = unite_adjacent(procs);
+  // A protocol's instances are its processes' distinct roots; their
+  // sizes sum to its process count.
+  RoutingStats out;
+  int bgp = 0, ospf = 0;
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    const RoutingProtocol protocol = procs[i].facts->protocol;
+    if (protocol == RoutingProtocol::kMstp) continue;
+    InstanceStats& st = protocol == RoutingProtocol::kBgp ? out.bgp : out.ospf;
+    ++(protocol == RoutingProtocol::kBgp ? bgp : ospf);
+    st.count += uf.find(i) == i;
+  }
+  if (out.bgp.count > 0) out.bgp.mean_size = static_cast<double>(bgp) / out.bgp.count;
+  if (out.ospf.count > 0) out.ospf.mean_size = static_cast<double>(ospf) / out.ospf.count;
+  return out;
 }
 
 }  // namespace mpa

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "config/facts.hpp"
 #include "config/stanza.hpp"
 
 namespace mpa {
@@ -42,9 +43,6 @@ std::vector<RoutingProcess> extract_processes(const std::vector<DeviceConfig>& n
 /// Group processes into instances via union-find over adjacency.
 std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceConfig>& network);
 
-/// extract_routing_instances() over configs held by reference.
-std::vector<RoutingInstance> routing_instances_of(const std::vector<const DeviceConfig*>& network);
-
 /// Count and mean size of a protocol's instances (D5 metrics).
 struct InstanceStats {
   int count = 0;
@@ -53,5 +51,12 @@ struct InstanceStats {
 
 InstanceStats instance_stats(const std::vector<RoutingInstance>& instances,
                              std::string_view protocol);
+
+/// instance_stats() of BGP and OSPF over the instances of the device
+/// states the facts were taken from, without building the instances.
+struct RoutingStats {
+  InstanceStats bgp, ospf;
+};
+RoutingStats routing_stats(const std::vector<const DeviceFacts*>& network);
 
 }  // namespace mpa

@@ -21,6 +21,7 @@ void StanzaTable::intern(std::string_view text, Dialect d, std::vector<StanzaId>
     const auto [it, fresh] = ids_.try_emplace(Chunk{*chunk, d}, static_cast<StanzaId>(size()));
     if (fresh) {
       const Stanza& s = stanzas_.emplace_back(parse_stanza(*chunk, d));
+      facts_.push_back(stanza_facts(s, &vlans_));
       const auto key = keys_.try_emplace(Key{s.type, s.name},
                                          static_cast<std::uint32_t>(keys_.size()));
       key_of_.push_back(key.first->second);

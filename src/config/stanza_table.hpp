@@ -3,10 +3,10 @@
 // A device's config is archived on every change, so consecutive
 // snapshots share almost every stanza. A StanzaTable cuts each
 // snapshot into chunks (StanzaChunker), keys them by their text, and
-// parses a chunk only the first time it is seen; a snapshot becomes an
-// ordered vector of stanza ids. Equal ids mean byte-equal chunks and
-// therefore equal stanzas, so diffing two snapshots compares only the
-// stanzas whose id changed.
+// parses a chunk and derives its facts (facts.hpp) only the first time
+// it is seen; a snapshot becomes an ordered vector of stanza ids. Equal
+// ids mean byte-equal chunks and therefore equal stanzas, so diffing two
+// snapshots compares only the stanzas whose id changed.
 //
 // The table is not synchronized: one owner (in inference, the pool
 // task inferring one network) interns, diffs and reads it, which keeps
@@ -25,6 +25,7 @@
 
 #include "config/dialect.hpp"
 #include "config/diff.hpp"
+#include "config/facts.hpp"
 
 namespace mpa {
 
@@ -43,10 +44,14 @@ class StanzaTable {
               LintSource* source = nullptr);
 
   const Stanza& stanza(StanzaId id) const { return stanzas_[id]; }
+  /// The facts of stanza `id`, derived once, when it was first interned.
+  /// VLAN names get ids from one NameTable per StanzaTable.
+  const StanzaFacts& facts(StanzaId id) const { return facts_[id]; }
   /// Number of distinct stanzas interned.
   std::size_t size() const { return stanzas_.size(); }
 
   /// The config a snapshot's ids stand for; equals parse() of its text.
+  /// A copy: inference reads states through facts() instead.
   DeviceConfig config(std::span<const StanzaId> ids, std::string device_id) const;
 
   /// diff() of the configs `before` and `after` stand for: the same
@@ -70,7 +75,9 @@ class StanzaTable {
   };
 
   std::unordered_map<Chunk, StanzaId, ChunkHash> ids_;
-  std::deque<Stanza> stanzas_;  ///< By id; a deque so Key views stay valid.
+  std::deque<Stanza> stanzas_;  ///< By id; a deque so views and pointers stay valid.
+  std::deque<StanzaFacts> facts_;  ///< By id.
+  NameTable vlans_;
   std::vector<std::uint32_t> key_of_;  ///< Stanza id -> dense (type, name) id.
   std::unordered_map<Key, std::uint32_t, KeyHash> keys_;
   /// diff() scratch, by key id: first position in before / after, or -1.

@@ -93,12 +93,6 @@ PlaneLayer layer_of(std::string_view construct) {
   return PlaneLayer::kNeither;
 }
 
-std::vector<std::string> constructs_of(std::string_view native_type) {
-  const std::string_view construct = construct_of(native_type);
-  if (construct.empty()) return {};
-  return {std::string(construct)};
-}
-
 std::string_view construct_of(std::string_view native_type) {
   return construct_of(native_type, agnostic_type(native_type));
 }

@@ -9,7 +9,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace mpa {
 
@@ -33,19 +32,15 @@ bool is_middlebox_type(std::string_view agnostic_type);
 enum class PlaneLayer : std::uint8_t { kL2, kL3, kNeither };
 
 /// Which plane layer a *protocol construct* belongs to, keyed by the
-/// construct identifier returned by constructs_in(). "bgp"/"ospf" are
+/// construct identifier returned by construct_of(). "bgp"/"ospf" are
 /// L3; "vlan"/"spanning-tree"/"link-aggregation"/"udld"/"dhcp-relay"
 /// are L2; everything else is kNeither.
 PlaneLayer layer_of(std::string_view construct);
 
-/// The protocol constructs instantiated by a stanza of the given native
-/// type (e.g. "router bgp" -> {"bgp"}, "vlan" -> {"vlan"}). Constructs
-/// are the unit of Figure 11(b)'s protocol counts.
-std::vector<std::string> constructs_of(std::string_view native_type);
-
-/// constructs_of() without the copies: a stanza instantiates at most one
-/// construct, returned as a view of a static name or of `native_type`
-/// (empty when it instantiates none).
+/// The protocol construct a stanza of the given native type
+/// instantiates (e.g. "router bgp" -> "bgp", "vlan" -> "vlan"), as a
+/// view of a static name or of `native_type`; empty when it instantiates
+/// none. Constructs are the unit of Figure 11(b)'s protocol counts.
 std::string_view construct_of(std::string_view native_type);
 /// construct_of() of a type whose agnostic_type() is already known.
 std::string_view construct_of(std::string_view native_type, std::string_view agnostic);

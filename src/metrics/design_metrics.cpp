@@ -1,12 +1,13 @@
 #include "metrics/design_metrics.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <set>
 
 #include "config/refs.hpp"
 #include "config/routing.hpp"
-#include "config/types.hpp"
 #include "stats/info.hpp"
 
 namespace mpa {
@@ -26,35 +27,19 @@ double normalized_pair_entropy(const std::vector<const DeviceRecord*>& devices, 
   return h / std::log2(static_cast<double>(n));
 }
 
-ProtocolUsage protocols_of(const std::vector<const DeviceConfig*>& configs) {
-  std::set<std::string> l2, l3;
-  for (const DeviceConfig* cfg : configs) {
-    for (const auto& s : cfg->stanzas()) {
-      for (const auto& construct : constructs_of(s.type)) {
-        switch (layer_of(construct)) {
-          case PlaneLayer::kL2: l2.insert(construct); break;
-          case PlaneLayer::kL3: l3.insert(construct); break;
-          case PlaneLayer::kNeither: break;
-        }
-      }
-    }
-  }
-  return ProtocolUsage{static_cast<int>(l2.size()), static_cast<int>(l3.size())};
+ProtocolUsage protocols_of(const std::vector<const DeviceFacts*>& state) {
+  std::uint8_t constructs = 0;
+  for (const DeviceFacts* d : state) constructs |= d->constructs;
+  return ProtocolUsage{std::popcount(static_cast<unsigned>(constructs & kL2Constructs)),
+                       std::popcount(static_cast<unsigned>(constructs & kL3Constructs))};
 }
 
-int vlans_of(const std::vector<const DeviceConfig*>& configs) {
-  std::set<std::string> vlans;
-  for (const DeviceConfig* cfg : configs)
-    for (const auto& s : cfg->stanzas())
-      if (agnostic_type(s.type) == "vlan") vlans.insert(s.name);
-  return static_cast<int>(vlans.size());
-}
-
-std::vector<const DeviceConfig*> borrow(const std::vector<DeviceConfig>& configs) {
-  std::vector<const DeviceConfig*> out;
-  out.reserve(configs.size());
-  for (const auto& cfg : configs) out.push_back(&cfg);
-  return out;
+int vlans_of(const std::vector<const DeviceFacts*>& state) {
+  std::vector<NameId> vlans;
+  for (const DeviceFacts* d : state)
+    vlans.insert(vlans.end(), d->refs.vlans.begin(), d->refs.vlans.end());
+  std::sort(vlans.begin(), vlans.end());
+  return static_cast<int>(std::unique(vlans.begin(), vlans.end()) - vlans.begin());
 }
 
 }  // namespace
@@ -68,26 +53,22 @@ double firmware_entropy(const std::vector<const DeviceRecord*>& devices) {
 }
 
 ProtocolUsage count_protocols(const std::vector<DeviceConfig>& configs) {
-  return protocols_of(borrow(configs));
+  return protocols_of(network_facts(configs).borrow());
 }
 
-int count_vlans(const std::vector<DeviceConfig>& configs) { return vlans_of(borrow(configs)); }
+int count_vlans(const std::vector<DeviceConfig>& configs) {
+  return vlans_of(network_facts(configs).borrow());
+}
 
 void compute_design_metrics(const NetworkRecord& net,
                             const std::vector<const DeviceRecord*>& devices,
                             const std::vector<DeviceConfig>& configs, Case& out) {
-  std::vector<RefFacts> facts;
-  facts.reserve(configs.size());
-  for (const auto& cfg : configs) facts.push_back(ref_facts(cfg));
-  std::vector<DeviceState> state;
-  state.reserve(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) state.push_back({&configs[i], &facts[i]});
-  compute_design_metrics(net, devices, state, out);
+  compute_inventory_metrics(net, devices, out);
+  compute_config_metrics(network_facts(configs).borrow(), out);
 }
 
-void compute_design_metrics(const NetworkRecord& net,
-                            const std::vector<const DeviceRecord*>& devices,
-                            const std::vector<DeviceState>& state, Case& out) {
+void compute_inventory_metrics(const NetworkRecord& net,
+                               const std::vector<const DeviceRecord*>& devices, Case& out) {
   out[Practice::kNumWorkloads] = static_cast<double>(net.workloads.size());
   out[Practice::kNumDevices] = static_cast<double>(devices.size());
 
@@ -106,31 +87,22 @@ void compute_design_metrics(const NetworkRecord& net,
   out[Practice::kNumFirmwareVersions] = static_cast<double>(firmwares.size());
   out[Practice::kHardwareEntropy] = hardware_entropy(devices);
   out[Practice::kFirmwareEntropy] = firmware_entropy(devices);
+}
 
-  std::vector<const DeviceConfig*> configs;
-  std::vector<const RefFacts*> refs;
-  configs.reserve(state.size());
-  refs.reserve(state.size());
-  for (const DeviceState& d : state) {
-    configs.push_back(d.config);
-    refs.push_back(d.refs);
-  }
-
-  const ProtocolUsage protos = protocols_of(configs);
+void compute_config_metrics(const std::vector<const DeviceFacts*>& state, Case& out) {
+  const ProtocolUsage protos = protocols_of(state);
   out[Practice::kNumL2Protocols] = protos.l2;
   out[Practice::kNumL3Protocols] = protos.l3;
   out[Practice::kNumProtocols] = protos.total();
-  out[Practice::kNumVlans] = vlans_of(configs);
+  out[Practice::kNumVlans] = vlans_of(state);
 
-  const auto instances = routing_instances_of(configs);
-  const InstanceStats bgp = instance_stats(instances, "bgp");
-  const InstanceStats ospf = instance_stats(instances, "ospf");
-  out[Practice::kNumBgpInstances] = bgp.count;
-  out[Practice::kNumOspfInstances] = ospf.count;
-  out[Practice::kAvgBgpInstanceSize] = bgp.mean_size;
-  out[Practice::kAvgOspfInstanceSize] = ospf.mean_size;
+  const RoutingStats routing = routing_stats(state);
+  out[Practice::kNumBgpInstances] = routing.bgp.count;
+  out[Practice::kNumOspfInstances] = routing.ospf.count;
+  out[Practice::kAvgBgpInstanceSize] = routing.bgp.mean_size;
+  out[Practice::kAvgOspfInstanceSize] = routing.ospf.mean_size;
 
-  const NetworkComplexity cx = fold_referential_complexity(refs);
+  const NetworkComplexity cx = fold_referential_complexity(state);
   out[Practice::kIntraDeviceComplexity] = cx.mean_intra;
   out[Practice::kInterDeviceComplexity] = cx.mean_inter;
 }

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "config/refs.hpp"
+#include "config/facts.hpp"
 #include "config/stanza.hpp"
 #include "metrics/case_table.hpp"
 #include "model/inventory.hpp"
@@ -42,18 +42,15 @@ void compute_design_metrics(const NetworkRecord& net,
                             const std::vector<const DeviceRecord*>& devices,
                             const std::vector<DeviceConfig>& configs, Case& out);
 
-/// One device's config state, held by reference together with the
-/// reference facts taken from it (ref_facts(*config)), so a state
-/// shared by several months is analyzed once.
-struct DeviceState {
-  const DeviceConfig* config = nullptr;
-  const RefFacts* refs = nullptr;
-};
+/// The inventory half of compute_design_metrics() (D1-D3).
+void compute_inventory_metrics(const NetworkRecord& net,
+                               const std::vector<const DeviceRecord*>& devices, Case& out);
 
-/// compute_design_metrics() over borrowed device states; bit-identical
-/// to the overload above on the same configs.
-void compute_design_metrics(const NetworkRecord& net,
-                            const std::vector<const DeviceRecord*>& devices,
-                            const std::vector<DeviceState>& state, Case& out);
+/// The config half of compute_design_metrics() (D4-D6), folded from
+/// the facts of a network's device states (config/facts.hpp): OR of
+/// construct bits, distinct VLAN ids, union-find over routing
+/// processes and fold_referential_complexity(). Integer work only, so a
+/// state shared by several months is analyzed once.
+void compute_config_metrics(const std::vector<const DeviceFacts*>& state, Case& out);
 
 }  // namespace mpa

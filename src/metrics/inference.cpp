@@ -6,7 +6,6 @@
 #include <span>
 
 #include "config/dialect.hpp"
-#include "config/refs.hpp"
 #include "config/stanza_table.hpp"
 #include "metrics/design_metrics.hpp"
 #include "metrics/lint_metrics.hpp"
@@ -16,9 +15,8 @@ namespace mpa {
 namespace {
 
 /// Interned snapshot timeline of one device, plus its month-end state:
-/// the config, lint source, reference facts and device-scope lint of
-/// the latest snapshot a month end selected, built once per selected
-/// snapshot.
+/// the lint view, design facts and device-scope lint of the latest
+/// snapshot a month end selected, built once per selected snapshot.
 struct DeviceTimeline {
   const ConfigSnapshot* snaps = nullptr;  ///< First snapshot of the parsed suffix.
   Dialect dialect = Dialect::kIosLike;
@@ -31,9 +29,8 @@ struct DeviceTimeline {
   std::vector<LintSource> sources;
 
   int state_idx = -1;
-  DeviceConfig config;
-  RefFacts refs;
-  std::optional<DeviceView> view;  ///< Lint view of config, with its source.
+  std::optional<DeviceView> view;  ///< Lint view of the state, with its source.
+  DeviceFacts facts;               ///< The state's design facts.
   LintTally lint;                  ///< The state's device-scope lint.
 
   std::span<const StanzaId> ids_of(std::size_t i) const {
@@ -48,16 +45,19 @@ struct DeviceTimeline {
   }
 
   /// Make snapshot `idx` the month-end state. Month ends only move
-  /// forward, so each snapshot is materialized and device-linted at
-  /// most once.
+  /// forward, so each snapshot is viewed and device-linted at most
+  /// once. The view points at the table's stanza facts: nothing is
+  /// copied or re-parsed.
   void select(int idx, const StanzaTable& table, const std::string& device_id,
               const LintOptions& lint_opts) {
     if (idx == state_idx) return;
-    const auto i = static_cast<std::size_t>(idx);
-    config = table.config(ids_of(i), device_id);
-    refs = ref_facts(config);
+    const auto state = ids_of(static_cast<std::size_t>(idx));
+    std::vector<const StanzaFacts*> stanzas;
+    stanzas.reserve(state.size());
+    for (const StanzaId id : state) stanzas.push_back(&table.facts(id));
     const auto slot = std::lower_bound(selected.begin(), selected.end(), idx) - selected.begin();
-    view.emplace(config, &sources[static_cast<std::size_t>(slot)]);
+    view.emplace(device_id, std::move(stanzas), &sources[static_cast<std::size_t>(slot)]);
+    facts = device_facts(*view);
     lint = LintTally{};
     LintSink sink(lint_opts, lint);
     run_device_rules(*view, sink);
@@ -153,15 +153,24 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
                      return a.time != b.time ? a.time < b.time : a.device_id < b.device_id;
                    });
 
-  std::vector<Case> rows;
-  rows.reserve(static_cast<std::size_t>(opts.num_months - first_month));
-  std::vector<DeviceState> state;
-  for (int m = first_month; m < opts.num_months; ++m) {
-    const Timestamp m_start = month_start(m);
-    const Timestamp m_end = month_start(m + 1);
+  // The inventory metrics and the health tickets of every month, once.
+  Case base;
+  base.network_id = net.network_id;
+  compute_inventory_metrics(net, devices, base);
+  const int num_months = std::max(0, opts.num_months - first_month);
+  std::vector<int> month_tickets(static_cast<std::size_t>(num_months));
+  for (const Ticket* t : tickets.health_tickets(net.network_id)) {
+    const int m = month_of(t->created);
+    if (m >= first_month && m < opts.num_months)
+      ++month_tickets[static_cast<std::size_t>(m - first_month)];
+  }
 
-    Case row;
-    row.network_id = net.network_id;
+  std::vector<Case> rows;
+  rows.reserve(month_tickets.size());
+  std::vector<const DeviceFacts*> state;
+  std::vector<const ChangeRecord*> month_changes;
+  for (int m = first_month; m < opts.num_months; ++m) {
+    Case row = base;
     row.month = m;
 
     // Design metrics from the configuration state at month end.
@@ -172,11 +181,11 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
       const int idx = tl.state_at_end_of(m);
       if (idx < 0) continue;
       tl.select(idx, table, dev_id, opts.lint);
-      state.push_back(DeviceState{&tl.config, &tl.refs});
+      state.push_back(&tl.facts);
       views.push_back(*tl.view);
       lint += tl.lint;
     }
-    compute_design_metrics(net, devices, state, row);
+    compute_config_metrics(state, row);
 
     // Hygiene metrics from linting the same month-end state: the device
     // passes counted when each state was selected, plus a network pass
@@ -186,14 +195,19 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     run_network_rules(NetworkView(std::move(views)), sink);
     apply_lint_metrics(LintSummary::of(lint, num_linted), row);
 
-    // Operational metrics from this month's changes.
-    std::vector<const ChangeRecord*> month_changes;
-    for (const auto& c : changes)
-      if (c.time >= m_start && c.time < m_end) month_changes.push_back(&c);
+    // Operational metrics from this month's changes: a range of the
+    // time-sorted stream.
+    const auto at = [&](Timestamp t) {
+      return std::lower_bound(changes.begin(), changes.end(), t,
+                              [](const ChangeRecord& c, Timestamp u) { return c.time < u; });
+    };
+    month_changes.clear();
+    for (auto c = at(month_start(m)), end = at(month_start(m + 1)); c != end; ++c)
+      month_changes.push_back(&*c);
     const auto events = group_events(month_changes, opts.event_window);
     compute_operational_metrics(month_changes, events, devices.size(), device_roles, row);
 
-    row.tickets = tickets.count_health_tickets(net.network_id, m);
+    row.tickets = month_tickets[static_cast<std::size_t>(m - first_month)];
     rows.push_back(std::move(row));
   }
   return rows;

@@ -94,6 +94,39 @@ TEST(Inference, HealthExcludesMaintenance) {
   EXPECT_DOUBLE_EQ(table[2].tickets, 0);
 }
 
+TEST(Inference, ChangesAndTicketsOnMonthBoundariesCountInTheirMonth) {
+  // Each month's changes are a range of the time-sorted change stream
+  // and its tickets a per-month bucket: a record at a month's first
+  // minute belongs to that month, one a minute earlier to the month
+  // before, and tickets outside the window count nowhere.
+  Fixture f = make_fixture();
+  f.store = SnapshotStore{};
+  f.store.add(ConfigSnapshot{"d2", 0, "svc-provision", ios_config(0, "x")});
+  int vlans = 0;
+  for (const Timestamp t : {month_start(1) - 1, month_start(1), month_start(2) - 1,
+                            month_start(2), month_start(2) + 1, month_start(3) - 1})
+    f.store.add(ConfigSnapshot{"d2", t, "alice", ios_config(++vlans, "x")});
+  f.tickets = TicketLog{};
+  const auto ticket = [&](Timestamp t) {
+    f.tickets.add(Ticket{"t", "net1", t, t, {}, TicketOrigin::kUserReport, "s"});
+  };
+  for (const Timestamp t : {month_start(1) - 1, month_start(1), month_start(1),
+                            month_start(3) - 1, month_start(3), month_start(5)})
+    ticket(t);
+  InferenceOptions opts;
+  opts.num_months = 3;
+  const CaseTable table = infer_case_table(f.inv, f.store, f.tickets, opts);
+  ASSERT_EQ(table.size(), 3u);
+  const std::vector<double> changes = {1, 2, 3}, tickets = {1, 2, 1};
+  for (std::size_t m = 0; m < 3; ++m) {
+    EXPECT_EQ(table[m][Practice::kNumConfigChanges], changes[m]) << "month " << m;
+    EXPECT_EQ(table[m].tickets, tickets[m]) << "month " << m;
+  }
+  const CaseTable tail = infer_case_table_tail(f.inv, f.store, f.tickets, opts, 1);
+  ASSERT_EQ(tail.size(), 2u);
+  for (std::size_t m = 1; m < 3; ++m) EXPECT_EQ(tail[m - 1].practice, table[m].practice);
+}
+
 TEST(Inference, NetworkWithNoSnapshotsStillProducesRows) {
   Fixture f = make_fixture();
   f.inv.add_network(NetworkRecord{"net2", {}, {}});

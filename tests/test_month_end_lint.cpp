@@ -346,13 +346,13 @@ class BothScopesRule final : public LintRule {
             LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas())
-      if (s.options.size() % 2 == 1) sink.report(dev, &s, "odd " + s.name);
+    for (const StanzaFacts* f : dev.stanzas())
+      if (f->stanza->options.size() % 2 == 1) sink.report(dev, f->stanza, "odd " + f->stanza->name);
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
     for (const DeviceView& dev : net.devices())
-      if (dev.config().stanzas().size() > 2)
-        sink.report(dev, &dev.config().stanzas().back(), "busy " + dev.device_id());
+      if (dev.stanzas().size() > 2)
+        sink.report(dev, dev.stanzas().back()->stanza, "busy " + dev.device_id());
     if (!net.devices().empty()) sink.report(net.devices().front(), nullptr, "network");
   }
 };
