@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -17,30 +18,6 @@ std::optional<LintCategory> parse_category(std::string_view s) {
     if (to_string(c) == s) return c;
   }
   return std::nullopt;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// SARIF result level for a severity.

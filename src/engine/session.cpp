@@ -1,7 +1,9 @@
 #include "engine/session.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <type_traits>
 
 #include "config/dialect.hpp"
 #include "io/dataset_io.hpp"
@@ -21,23 +23,55 @@ std::uint64_t mix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Mirror a per-session CacheStats increment into the obs registry.
-void bump(const char* counter) {
-  if (obs::enabled()) obs::Registry::global().counter(counter).add(1);
+using CacheStats = AnalysisSession::CacheStats;
+
+/// How a (stage, source) disposition is counted: the CacheStats field
+/// it bumps, that field's key in the manifest's cache map, and the
+/// mpa_session_* counter mirroring it. A null stage matches every
+/// stage; a disposition with no row (a computed dependence) counts
+/// nothing.
+struct StageCount {
+  const char* stage;
+  const char* source;
+  std::size_t CacheStats::*field;
+  const char* cache_key;
+  const char* counter;
+};
+
+constexpr StageCount kStageCounts[] = {
+    {nullptr, "memo", &CacheStats::hits, "hits", "mpa_session_memo_hits_total"},
+    {"case_table", "computed", &CacheStats::table_builds, "table_builds",
+     "mpa_session_table_builds_total"},
+    {"case_table", "store", &CacheStats::table_loads, "table_loads",
+     "mpa_session_table_loads_total"},
+    {"lint", "computed", &CacheStats::lint_runs, "lint_runs", "mpa_session_lint_runs_total"},
+    {"lint", "store", &CacheStats::lint_loads, "lint_loads", "mpa_session_lint_loads_total"},
+    {"causal", "computed", &CacheStats::causal_runs, "causal_runs",
+     "mpa_session_causal_runs_total"},
+    {"cv", "computed", &CacheStats::cv_runs, "cv_runs", "mpa_session_cv_runs_total"},
+    {"online", "computed", &CacheStats::online_runs, "online_runs",
+     "mpa_session_online_runs_total"},
+    {"append", "computed", &CacheStats::appends, "appends", "mpa_session_appends_total"},
+};
+
+const StageCount* stage_count(std::string_view stage, std::string_view source) {
+  for (const StageCount& c : kStageCounts) {
+    if ((c.stage == nullptr || c.stage == stage) && c.source == source) return &c;
+  }
+  return nullptr;
 }
 
-/// The wall-time histogram for one pipeline stage, or null when obs is
-/// disabled (which makes the ScopedTimer inert — no clock reads).
-obs::Histogram* stage_seconds(const char* stage) {
-  if (!obs::enabled()) return nullptr;
-  return &obs::Registry::global().histogram(std::string("mpa_stage_seconds_") + stage);
+/// The wall-time histogram a computed stage samples: ingestion
+/// publishes mpa_ingest_seconds, every other stage
+/// mpa_stage_seconds_<stage>.
+obs::Histogram& stage_histogram(std::string_view stage) {
+  auto& reg = obs::Registry::global();
+  if (stage == "append") return reg.histogram("mpa_ingest_seconds");
+  return reg.histogram("mpa_stage_seconds_" + std::string(stage));
 }
 
-/// Manifest stage timing. Two steady-clock reads per stage request —
-/// negligible against stage cost, and independent of obs::enabled()
-/// because provenance is recorded whether or not metrics are on.
-double elapsed_seconds(std::uint64_t t0_ns) {
-  return static_cast<double>(obs::now_ns() - t0_ns) * 1e-9;
+double elapsed_seconds(std::uint64_t t0_ns, std::uint64_t t1_ns) {
+  return static_cast<double>(t1_ns - t0_ns) * 1e-9;
 }
 
 /// Pre-register the engine's full metric schema so every export
@@ -45,23 +79,20 @@ double elapsed_seconds(std::uint64_t t0_ns) {
 /// (the CI schema check, dashboards) never see a shifting key set.
 void register_engine_metrics() {
   auto& reg = obs::Registry::global();
+  for (const StageCount& c : kStageCounts) reg.counter(c.counter);
   for (const char* name :
-       {"mpa_session_memo_hits_total", "mpa_session_table_builds_total",
-        "mpa_session_table_loads_total", "mpa_session_lint_runs_total",
-        "mpa_session_lint_loads_total", "mpa_session_causal_runs_total",
-        "mpa_session_cv_runs_total", "mpa_session_online_runs_total",
-        "mpa_session_invalidations_total", "mpa_session_appends_total",
-        "mpa_session_cmi_pairs_total", "mpa_artifact_store_hits_total",
-        "mpa_artifact_store_misses_total", "mpa_artifact_store_saves_total",
-        "mpa_pool_jobs_total", "mpa_pool_tasks_total", "mpa_pool_inline_jobs_total",
-        "mpa_pool_worker_joins_total", "mpa_pool_queue_wait_ns_total"}) {
+       {"mpa_session_invalidations_total", "mpa_session_cmi_pairs_total",
+        "mpa_artifact_store_hits_total", "mpa_artifact_store_misses_total",
+        "mpa_artifact_store_saves_total", "mpa_pool_jobs_total", "mpa_pool_tasks_total",
+        "mpa_pool_inline_jobs_total", "mpa_pool_worker_joins_total",
+        "mpa_pool_queue_wait_ns_total"}) {
     reg.counter(name);
   }
-  for (const char* stage : {"case_table", "lint", "dependence", "causal", "cv", "online"}) {
-    reg.histogram(std::string("mpa_stage_seconds_") + stage);
+  for (const char* stage :
+       {"case_table", "lint", "dependence", "causal", "cv", "online", "append"}) {
+    stage_histogram(stage);
   }
   reg.histogram("mpa_dependence_pair_seconds");
-  reg.histogram("mpa_ingest_seconds");
   reg.counter("mpa_dataset_load_bytes_total");
   reg.histogram("mpa_dataset_load_seconds");
 }
@@ -150,7 +181,7 @@ AnalysisSession AnalysisSession::from_directory(const std::string& dir, SessionO
   if (obs::enabled()) {
     auto& reg = obs::Registry::global();
     reg.counter("mpa_dataset_load_bytes_total").add(bytes_read);
-    reg.histogram("mpa_dataset_load_seconds").observe(elapsed_seconds(t0));
+    reg.histogram("mpa_dataset_load_seconds").observe(elapsed_seconds(t0, obs::now_ns()));
   }
   // Observation window implied by the data: the last month touched by
   // any ticket or snapshot.
@@ -168,56 +199,100 @@ Rng AnalysisSession::stream_for(std::uint64_t tag) const {
   return Rng(mix(opts_.seed ^ mix(tag)));
 }
 
-const CaseTable& AnalysisSession::case_table() {
-  if (table_.has_value()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("case_table", "memo", 0);
-    return *table_;
+/// One computed stage request. The clock is read once when the scope
+/// opens and once in done(); that one duration is the stage span's
+/// dur_ns, the stage histogram's sample and the manifest's
+/// StageRun::seconds. A stage that throws before done() records no
+/// StageRun and no sample (its span still closes).
+class AnalysisSession::StageScope {
+ public:
+  StageScope(AnalysisSession& session, const char* stage)
+      : session_(session), stage_(stage), start_ns_(obs::now_ns()), span_(stage, start_ns_) {}
+
+  void done() {
+    const std::uint64_t end_ns = obs::now_ns();
+    span_.end(end_ns);
+    const double seconds = elapsed_seconds(start_ns_, end_ns);
+    if (obs::enabled()) stage_histogram(stage_).observe(seconds);
+    session_.record_stage(stage_, "computed", seconds);
   }
-  if (!opts_.artifact_key.empty()) {
-    const std::uint64_t t0 = obs::now_ns();
-    if (auto cached = store_.load_case_table(opts_.artifact_key)) {
-      bump_stats([](CacheStats& s) { ++s.table_loads; });
-      bump("mpa_session_table_loads_total");
-      table_ = std::move(*cached);
-      record_stage("case_table", "store", elapsed_seconds(t0));
-      return *table_;
+
+ private:
+  AnalysisSession& session_;
+  const char* stage_;
+  std::uint64_t start_ns_;
+  obs::Span span_;
+};
+
+template <typename T, typename Load, typename Compute>
+const T& AnalysisSession::artifact(const char* stage, const T* memo, Load load,
+                                   Compute compute) {
+  if (memo != nullptr) {
+    record_stage(stage, "memo", 0);
+    return *memo;
+  }
+  if constexpr (!std::is_null_pointer_v<Load>) {
+    if (!opts_.artifact_key.empty()) {
+      const std::uint64_t t0 = obs::now_ns();
+      if (const T* stored = load()) {
+        record_stage(stage, "store", elapsed_seconds(t0, obs::now_ns()));
+        return *stored;
+      }
     }
   }
-  obs::Span span("case_table");
-  obs::ScopedTimer timer(stage_seconds("case_table"));
-  const std::uint64_t t0 = obs::now_ns();
-  InferenceOptions iopts = opts_.inference;
-  iopts.pool = pool_.get();
-  table_ = infer_case_table(inventory_, snapshots_, tickets_, iopts);
-  bump_stats([](CacheStats& s) { ++s.table_builds; });
-  bump("mpa_session_table_builds_total");
-  record_stage("case_table", "computed", elapsed_seconds(t0));
-  if (!opts_.artifact_key.empty()) store_.save_case_table(opts_.artifact_key, *table_);
-  return *table_;
+  auto run = [&](const auto&... table) -> const T& {
+    StageScope scope(*this, stage);
+    const T& out = compute(table...);
+    scope.done();
+    return out;
+  };
+  // The case table is a prerequisite, not part of this stage's cost:
+  // it is materialized before the scope opens, so a cold request
+  // reports the table build as a sibling stage and span.
+  if constexpr (std::is_invocable_v<Compute&, const CaseTable&>) {
+    return run(case_table());
+  } else {
+    return run();
+  }
+}
+
+const CaseTable& AnalysisSession::case_table() {
+  return artifact(
+      "case_table", table_ ? &*table_ : nullptr,
+      [&]() -> const CaseTable* {
+        auto stored = store_.load_case_table(opts_.artifact_key);
+        return stored ? &table_.emplace(std::move(*stored)) : nullptr;
+      },
+      [&]() -> const CaseTable& {
+        InferenceOptions iopts = opts_.inference;
+        iopts.pool = pool_.get();
+        table_ = infer_case_table(inventory_, snapshots_, tickets_, iopts);
+        if (!opts_.artifact_key.empty()) store_.save_case_table(opts_.artifact_key, *table_);
+        return *table_;
+      });
 }
 
 const LintReport& AnalysisSession::lint() {
-  if (lint_.has_value()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("lint", "memo", 0);
-    return *lint_;
-  }
-  if (!opts_.artifact_key.empty()) {
-    const std::uint64_t t0 = obs::now_ns();
-    if (auto cached = store_.load_lint_report(opts_.artifact_key)) {
-      bump_stats([](CacheStats& s) { ++s.lint_loads; });
-      bump("mpa_session_lint_loads_total");
-      lint_ = std::move(*cached);
-      record_stage("lint", "store", elapsed_seconds(t0));
-      return *lint_;
-    }
-  }
-  obs::Span span("lint");
-  obs::ScopedTimer timer(stage_seconds("lint"));
-  const std::uint64_t t0 = obs::now_ns();
+  return artifact(
+      "lint", lint_ ? &*lint_ : nullptr,
+      [&]() -> const LintReport* {
+        auto stored = store_.load_lint_report(opts_.artifact_key);
+        return stored ? &lint_.emplace(std::move(*stored)) : nullptr;
+      },
+      [&]() -> const LintReport& {
+        LintReport report;
+        report.networks.resize(inventory_.networks().size());
+        std::vector<std::size_t> all(report.networks.size());
+        std::iota(all.begin(), all.end(), std::size_t{0});
+        lint_networks(all, report);
+        lint_ = std::move(report);
+        if (!opts_.artifact_key.empty()) store_.save_lint_report(opts_.artifact_key, *lint_);
+        return *lint_;
+      });
+}
+
+void AnalysisSession::lint_networks(const std::vector<std::size_t>& networks,
+                                    LintReport& report) const {
   // Per-task spans run on pool workers, whose thread-local span stack
   // is empty; adopt this stage's path explicitly so the fan-out nests
   // under it with deterministic names and counts at any thread count.
@@ -228,16 +303,14 @@ const LintReport& AnalysisSession::lint() {
   // req_id/tenant (collection stays with the owning worker thread).
   const obs::RequestContext* req_ctx = obs::current_request_context();
   obs::RequestContext task_ctx = req_ctx != nullptr ? req_ctx->tag_only() : obs::RequestContext{};
-  const auto& networks = inventory_.networks();
-  LintReport report;
-  report.networks.resize(networks.size());
-  parallel_for(pool_.get(), networks.size(), [&](std::size_t n) {
+  parallel_for(pool_.get(), networks.size(), [&](std::size_t i) {
     obs::ScopedRequestContext adopt(req_ctx != nullptr ? &task_ctx : nullptr);
     obs::Span task = obs::Span::with_path(task_path);
-    NetworkLint& out = report.networks[n];
-    out.network_id = networks[n].network_id;
+    const NetworkRecord& net = inventory_.networks()[networks[i]];
+    NetworkLint& out = report.networks[networks[i]];
+    out.network_id = net.network_id;
     std::vector<DeviceText> texts;
-    for (const auto* d : inventory_.devices_in(networks[n].network_id)) {
+    for (const auto* d : inventory_.devices_in(net.network_id)) {
       const auto& snaps = snapshots_.for_device(d->device_id);
       if (snaps.empty()) continue;
       texts.push_back(DeviceText{d->device_id, snaps.back().text, dialect_of(d->vendor)});
@@ -248,106 +321,64 @@ const LintReport& AnalysisSession::lint() {
         .str("network", out.network_id)
         .u64("findings", out.diagnostics.size());
   });
-  bump_stats([](CacheStats& s) { ++s.lint_runs; });
-  bump("mpa_session_lint_runs_total");
-  record_stage("lint", "computed", elapsed_seconds(t0));
-  lint_ = std::move(report);
-  if (!opts_.artifact_key.empty()) store_.save_lint_report(opts_.artifact_key, *lint_);
-  return *lint_;
 }
 
 const DependenceAnalysis& AnalysisSession::dependence() {
-  if (dependence_.has_value()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("dependence", "memo", 0);
-    return *dependence_;
-  }
-  // The case table is a prerequisite, not part of this stage's cost:
-  // materialize it before the span opens so a cold dependence() call
-  // reports dependence time, with any table build as a sibling span.
-  const CaseTable& table = case_table();
-  obs::Span span("dependence");
-  obs::ScopedTimer timer(stage_seconds("dependence"));
-  const std::uint64_t t0 = obs::now_ns();
-  DependenceOptions dopts = opts_.dependence;
-  dopts.pool = pool_.get();
-  dopts.record_pair_times = obs::enabled();
-  dependence_.emplace(table, dopts);
-  record_stage("dependence", "computed", elapsed_seconds(t0));
-  if (obs::enabled()) {
-    auto& reg = obs::Registry::global();
-    reg.counter("mpa_session_cmi_pairs_total")
-        .add(static_cast<std::uint64_t>(dependence_->cmi_ranking().size()));
-    auto& pair_hist = reg.histogram("mpa_dependence_pair_seconds");
-    for (double s : dependence_->pair_compute_seconds()) pair_hist.observe(s);
-  }
-  return *dependence_;
+  return artifact(
+      "dependence", dependence_ ? &*dependence_ : nullptr, nullptr,
+      [&](const CaseTable& table) -> const DependenceAnalysis& {
+        DependenceOptions dopts = opts_.dependence;
+        dopts.pool = pool_.get();
+        dopts.record_pair_times = obs::enabled();
+        dependence_.emplace(table, dopts);
+        if (obs::enabled()) {
+          auto& reg = obs::Registry::global();
+          reg.counter("mpa_session_cmi_pairs_total")
+              .add(static_cast<std::uint64_t>(dependence_->cmi_ranking().size()));
+          auto& pair_hist = reg.histogram("mpa_dependence_pair_seconds");
+          for (double s : dependence_->pair_compute_seconds()) pair_hist.observe(s);
+        }
+        return *dependence_;
+      });
 }
 
 const CausalResult& AnalysisSession::causal(Practice treatment) {
   const auto it = causal_.find(treatment);
-  if (it != causal_.end()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("causal", "memo", 0);
-    return it->second;
-  }
-  const CaseTable& table = case_table();
-  obs::Span span("causal");
-  obs::ScopedTimer timer(stage_seconds("causal"));
-  const std::uint64_t t0 = obs::now_ns();
-  CausalOptions copts = opts_.causal;
-  copts.pool = pool_.get();
-  bump_stats([](CacheStats& s) { ++s.causal_runs; });
-  bump("mpa_session_causal_runs_total");
-  const CausalResult& res =
-      causal_.emplace(treatment, causal_analysis(table, treatment, copts)).first->second;
-  record_stage("causal", "computed", elapsed_seconds(t0));
-  return res;
+  return artifact("causal", it != causal_.end() ? &it->second : nullptr, nullptr,
+                  [&](const CaseTable& table) -> const CausalResult& {
+                    CausalOptions copts = opts_.causal;
+                    copts.pool = pool_.get();
+                    return causal_.emplace(treatment, causal_analysis(table, treatment, copts))
+                        .first->second;
+                  });
 }
 
 const EvalResult& AnalysisSession::evaluate_cv(int num_classes, ModelKind kind) {
   const auto key = std::make_pair(static_cast<int>(kind), num_classes);
   const auto it = cv_.find(key);
-  if (it != cv_.end()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("cv", "memo", 0);
-    return it->second;
-  }
-  const CaseTable& table = case_table();
-  obs::Span span("cv");
-  obs::ScopedTimer timer(stage_seconds("cv"));
-  const std::uint64_t t0 = obs::now_ns();
-  ModelingOptions mopts = opts_.modeling;
-  mopts.pool = pool_.get();
-  Rng rng = stream_for(0x5cf00ULL + static_cast<std::uint64_t>(kind) * 64 +
-                       static_cast<std::uint64_t>(num_classes));
-  bump_stats([](CacheStats& s) { ++s.cv_runs; });
-  bump("mpa_session_cv_runs_total");
-  const EvalResult& res =
-      cv_.emplace(key, evaluate_model_cv(table, num_classes, kind, rng, mopts)).first->second;
-  record_stage("cv", "computed", elapsed_seconds(t0));
-  return res;
+  return artifact("cv", it != cv_.end() ? &it->second : nullptr, nullptr,
+                  [&](const CaseTable& table) -> const EvalResult& {
+                    ModelingOptions mopts = opts_.modeling;
+                    mopts.pool = pool_.get();
+                    Rng rng = stream_for(0x5cf00ULL + static_cast<std::uint64_t>(kind) * 64 +
+                                         static_cast<std::uint64_t>(num_classes));
+                    return cv_.emplace(key, evaluate_model_cv(table, num_classes, kind, rng, mopts))
+                        .first->second;
+                  });
 }
 
 double AnalysisSession::online_accuracy(int num_classes, int history_m, ModelKind kind,
                                         int first_t, int last_t) {
   const CaseTable& table = case_table();
-  obs::Span span("online");
-  obs::ScopedTimer timer(stage_seconds("online"));
-  const std::uint64_t t0 = obs::now_ns();
+  StageScope scope(*this, "online");
   ModelingOptions mopts = opts_.modeling;
   mopts.pool = pool_.get();
   Rng rng = stream_for(0x0911eULL + static_cast<std::uint64_t>(kind) * 4096 +
                        static_cast<std::uint64_t>(num_classes) * 128 +
                        static_cast<std::uint64_t>(history_m));
-  bump_stats([](CacheStats& s) { ++s.online_runs; });
-  bump("mpa_session_online_runs_total");
   const double acc = online_prediction_accuracy(table, num_classes, history_m, kind, rng, first_t,
                                                 last_t, mopts);
-  record_stage("online", "computed", elapsed_seconds(t0));
+  scope.done();
   return acc;
 }
 
@@ -381,10 +412,7 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
                      " is outside month " + std::to_string(m) + " for ticket " + t.ticket_id);
   }
 
-  obs::Span span("append");
-  obs::ScopedTimer timer(
-      obs::enabled() ? &obs::Registry::global().histogram("mpa_ingest_seconds") : nullptr);
-  const std::uint64_t t0 = obs::now_ns();
+  StageScope scope(*this, "append");
 
   // ---- Ingest the raw records and advance the observation window. ----
   for (const auto& s : delta.snapshots) snapshots_.add(s);
@@ -449,30 +477,7 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
       for (std::size_t n = 0; n < networks.size(); ++n)
         if (touched_networks.count(networks[n].network_id) != 0) affected.push_back(n);
     }
-    const std::string task_path =
-        obs::enabled() ? obs::Tracer::current_path() + "/network" : std::string();
-    const obs::RequestContext* req_ctx = obs::current_request_context();
-    obs::RequestContext task_ctx =
-        req_ctx != nullptr ? req_ctx->tag_only() : obs::RequestContext{};
-    parallel_for(pool_.get(), affected.size(), [&](std::size_t i) {
-      obs::ScopedRequestContext adopt(req_ctx != nullptr ? &task_ctx : nullptr);
-      obs::Span task = obs::Span::with_path(task_path);
-      const std::size_t n = affected[i];
-      const NetworkRecord& net = inventory_.networks()[n];
-      NetworkLint& out = lint_->networks[n];
-      out.network_id = net.network_id;
-      std::vector<DeviceText> texts;
-      for (const auto* d : inventory_.devices_in(net.network_id)) {
-        const auto& snaps = snapshots_.for_device(d->device_id);
-        if (snaps.empty()) continue;
-        texts.push_back(DeviceText{d->device_id, snaps.back().text, dialect_of(d->vendor)});
-      }
-      out.num_devices = texts.size();
-      out.diagnostics = lint_network_text(texts, opts_.inference.lint);
-      obs::LogEvent(obs::LogLevel::kDebug, "lint_network")
-          .str("network", out.network_id)
-          .u64("findings", out.diagnostics.size());
-    });
+    lint_networks(affected, *lint_);
     result.lint_incremental = true;
     if (keyed) store_.save_lint_report(opts_.artifact_key, *lint_);
   }
@@ -493,9 +498,7 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
   causal_.clear();
   cv_.clear();
 
-  bump_stats([](CacheStats& s) { ++s.appends; });
-  bump("mpa_session_appends_total");
-  record_stage("append", "computed", elapsed_seconds(t0));
+  scope.done();
   obs::LogEvent(obs::LogLevel::kInfo, "session_append")
       .i64("month", m)
       .u64("snapshots", result.snapshots)
@@ -529,15 +532,7 @@ RunManifest AnalysisSession::manifest() const {
   {
     MutexLock lk(stats_mu_);
     m.stages = stage_runs_;
-    m.cache = {{"hits", stats_.hits},
-               {"table_builds", stats_.table_builds},
-               {"table_loads", stats_.table_loads},
-               {"lint_runs", stats_.lint_runs},
-               {"lint_loads", stats_.lint_loads},
-               {"causal_runs", stats_.causal_runs},
-               {"cv_runs", stats_.cv_runs},
-               {"online_runs", stats_.online_runs},
-               {"appends", stats_.appends}};
+    for (const StageCount& c : kStageCounts) m.cache[c.cache_key] = stats_.*c.field;
   }
   if (obs::enabled()) m.counters = obs::Registry::global().counters_snapshot();
   return m;
@@ -553,10 +548,13 @@ std::uint64_t AnalysisSession::fingerprint() const {
 }
 
 void AnalysisSession::record_stage(const char* stage, const char* source, double seconds) {
+  const StageCount* count = stage_count(stage, source);
   {
     MutexLock lk(stats_mu_);
     stage_runs_.push_back(StageRun{stage, source, seconds});
+    if (count != nullptr) ++(stats_.*count->field);
   }
+  if (count != nullptr && obs::enabled()) obs::Registry::global().counter(count->counter).add(1);
   // Structural fields only: the event stream stays bit-identical across
   // thread counts and machines, so seconds live in the manifest alone.
   obs::LogEvent(obs::LogLevel::kInfo, "stage").str("stage", stage).str("source", source);
@@ -568,7 +566,7 @@ void AnalysisSession::invalidate() {
   dependence_.reset();
   causal_.clear();
   cv_.clear();
-  bump("mpa_session_invalidations_total");
+  if (obs::enabled()) obs::Registry::global().counter("mpa_session_invalidations_total").add(1);
   obs::LogEvent(obs::LogLevel::kInfo, "session_invalidate")
       .str("artifact_key", opts_.artifact_key);
   if (!opts_.artifact_key.empty()) store_.remove(opts_.artifact_key);

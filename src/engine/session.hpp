@@ -185,7 +185,9 @@ class AnalysisSession {
   /// identical data keeps the cache warm and counts no invalidation.
   void replace_data(Inventory inventory, SnapshotStore snapshots, TicketLog tickets);
 
-  /// Cache observability (tests + tooling). These per-session counts
+  /// Cache observability (tests + tooling). Each field counts one
+  /// (stage, source) disposition of manifest().stages, recorded when
+  /// the request returns (`hits` counts every memo request). The counts
   /// are mirrored into the process-wide obs registry (src/obs/) as
   /// mpa_session_* counters whenever obs::enabled(); the registry adds
   /// stage wall-time histograms and trace spans on top (DESIGN.md §8).
@@ -217,18 +219,26 @@ class AnalysisSession {
   /// Private RNG stream for one artifact identity.
   Rng stream_for(std::uint64_t tag) const;
 
-  /// Apply `fn` to the stats record under the stats mutex. `fn` sees
-  /// the record through its parameter, so the capability analysis
-  /// stays on this function, not the lambda bodies.
-  template <typename Fn>
-  void bump_stats(Fn&& fn) EXCLUDES(stats_mu_) {
-    MutexLock lk(stats_mu_);
-    fn(stats_);
-  }
+  /// Times one computed stage (defined in session.cpp).
+  class StageScope;
 
-  /// Append one stage execution to the manifest record and emit the
-  /// matching "stage" log event (structural fields only — timing stays
-  /// out of the event stream to keep it deterministic).
+  /// The memo → store → compute ladder behind every memoized stage:
+  /// the resident artifact (`memo`, null on a miss); else, in a keyed
+  /// session, `load()` from the artifact store (a `nullptr` Load means
+  /// the stage has no store entry); else `compute` inside a StageScope.
+  /// A `compute` taking `const CaseTable&` gets the case table, which
+  /// is requested before the scope opens.
+  template <typename T, typename Load, typename Compute>
+  const T& artifact(const char* stage, const T* memo, Load load, Compute compute);
+
+  /// Lint the networks at the given inventory indices into `report`,
+  /// fanned out on the pool (the lint stage and append_month's re-lint).
+  void lint_networks(const std::vector<std::size_t>& networks, LintReport& report) const;
+
+  /// Account one stage request: append its StageRun, bump the matching
+  /// CacheStats field and mpa_session_* counter, and emit the "stage"
+  /// log event (structural fields only — timing stays out of the event
+  /// stream to keep it deterministic).
   void record_stage(const char* stage, const char* source, double seconds)
       EXCLUDES(stats_mu_);
 

@@ -37,7 +37,7 @@ std::string chrome_trace_json(const std::vector<SpanRecord>& spans) {
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const SpanRecord& s = spans[i];
     if (i != 0) os << ',';
-    os << "{\"ph\":\"X\",\"name\":\"" << json_escape(std::string(leaf_of(s.path)))
+    os << "{\"ph\":\"X\",\"name\":\"" << json_escape(leaf_of(s.path))
        << "\",\"cat\":\"mpa\",\"pid\":1,\"tid\":" << s.tid << ",\"ts\":" << format_us(s.start_ns)
        << ",\"dur\":" << format_us(s.dur_ns) << ",\"args\":{\"path\":\"" << json_escape(s.path)
        << '"';

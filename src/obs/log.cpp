@@ -1,8 +1,6 @@
 #include "obs/log.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -20,14 +18,6 @@ constexpr int kGateOff = 4;
 
 std::atomic<int> g_gate{kGateOff};
 std::atomic<int> g_min_level{static_cast<int>(LogLevel::kDebug)};
-
-/// Shortest round-trippable double, always a valid JSON token.
-std::string format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  if (std::strchr(buf, 'i') != nullptr || std::strchr(buf, 'n') != nullptr) return "0";
-  return buf;
-}
 
 }  // namespace
 
@@ -112,45 +102,25 @@ std::size_t Logger::ring_capacity() const {
 
 std::uint64_t Logger::dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
-Logger::Buffer& Logger::local_buffer() {
-  // The logger co-owns every buffer so records survive thread exit
-  // (pool teardown) until the next clear() — same lifetime rule as
-  // Tracer's span buffers.
-  thread_local std::shared_ptr<Buffer> buf;
-  if (buf == nullptr) {
-    buf = std::make_shared<Buffer>();
-    MutexLock lk(mu_);
-    buffers_.push_back(buf);
-  }
-  return *buf;
-}
-
 void Logger::commit(LogRecord&& rec) {
-  Buffer& buf = local_buffer();
   const std::size_t cap = ring_capacity_.load(std::memory_order_relaxed);
-  MutexLock lk(buf.mu);
-  if (cap == 0 || buf.records.size() < cap) {
-    buf.records.push_back(std::move(rec));
-    return;
-  }
-  // Flight-recorder mode: overwrite the oldest retained event.
-  if (buf.ring_next >= buf.records.size()) buf.ring_next = 0;
-  buf.records[buf.ring_next] = std::move(rec);
-  ++buf.ring_next;
-  dropped_.fetch_add(1, std::memory_order_relaxed);
+  buffers_.with_local([&](Buffer& buf, std::uint32_t) {
+    if (cap == 0 || buf.records.size() < cap) {
+      buf.records.push_back(std::move(rec));
+      return;
+    }
+    // Flight-recorder mode: overwrite the oldest retained event.
+    if (buf.ring_next >= buf.records.size()) buf.ring_next = 0;
+    buf.records[buf.ring_next] = std::move(rec);
+    ++buf.ring_next;
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+  });
 }
 
 std::vector<LogRecord> Logger::snapshot() const {
-  std::vector<std::shared_ptr<Buffer>> bufs;
-  {
-    MutexLock lk(mu_);
-    bufs = buffers_;
-  }
   std::vector<LogRecord> out;
-  for (const auto& b : bufs) {
-    MutexLock lk(b->mu);
-    out.insert(out.end(), b->records.begin(), b->records.end());
-  }
+  buffers_.for_each(
+      [&](const Buffer& b) { out.insert(out.end(), b.records.begin(), b.records.end()); });
   std::sort(out.begin(), out.end(), [](const LogRecord& a, const LogRecord& b) {
     if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
     return a.to_json(false) < b.to_json(false);
@@ -174,16 +144,10 @@ std::string Logger::canonical_jsonl() const {
 }
 
 void Logger::clear() {
-  std::vector<std::shared_ptr<Buffer>> bufs;
-  {
-    MutexLock lk(mu_);
-    bufs = buffers_;
-  }
-  for (const auto& b : bufs) {
-    MutexLock lk(b->mu);
-    b->records.clear();
-    b->ring_next = 0;
-  }
+  buffers_.for_each([](Buffer& b) {
+    b.records.clear();
+    b.ring_next = 0;
+  });
   dropped_.store(0, std::memory_order_relaxed);
 }
 

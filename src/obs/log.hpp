@@ -1,7 +1,7 @@
 // Structured event log for the MPA engine: leveled events with typed
 // key/value fields, recorded into per-thread buffers that are merged
-// only at snapshot time (the Tracer pattern — the hot path never takes
-// a shared lock), exported as JSONL.
+// only at snapshot time (obs::ThreadBuffers, shared with the Tracer —
+// the hot path never takes a shared lock), exported as JSONL.
 //
 // Contracts (DESIGN.md §10):
 //  - Zero overhead when disabled: constructing a LogEvent while the
@@ -26,12 +26,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/sync.hpp"
+#include "obs/thread_buffers.hpp"
 
 namespace mpa::obs {
 
@@ -104,7 +103,7 @@ class Logger {
 
   /// Merge every thread's buffer, sorted by (t_ns, content) — a stable
   /// chronological order with deterministic ties.
-  std::vector<LogRecord> snapshot() const EXCLUDES(mu_);
+  std::vector<LogRecord> snapshot() const;
 
   /// One JSON object per line, chronological (the --log-out format).
   std::string to_jsonl() const;
@@ -114,22 +113,19 @@ class Logger {
   std::string canonical_jsonl() const;
 
   /// Drop every recorded event and zero dropped().
-  void clear() EXCLUDES(mu_);
+  void clear();
 
  private:
   friend class LogEvent;
   struct Buffer {
-    Mutex mu;  ///< Uncontended except at snapshot/clear time.
-    std::vector<LogRecord> records GUARDED_BY(mu);
-    std::size_t ring_next GUARDED_BY(mu) = 0;  ///< Overwrite cursor once bounded.
+    std::vector<LogRecord> records;
+    std::size_t ring_next = 0;  ///< Overwrite cursor once bounded.
   };
 
   Logger() = default;
-  Buffer& local_buffer() EXCLUDES(mu_);
-  void commit(LogRecord&& rec) EXCLUDES(mu_);
+  void commit(LogRecord&& rec);
 
-  mutable Mutex mu_;  ///< Guards buffers_ (registration + export).
-  std::vector<std::shared_ptr<Buffer>> buffers_ GUARDED_BY(mu_);
+  ThreadBuffers<Buffer> buffers_;
   std::atomic<std::size_t> ring_capacity_{0};
   std::atomic<std::uint64_t> dropped_{0};
 };

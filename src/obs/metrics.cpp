@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace mpa::obs {
 namespace {
@@ -29,32 +30,6 @@ void atomic_add_double(std::atomic<std::uint64_t>& bits, double delta) {
     const std::uint64_t next = double_to_bits(bits_to_double(old) + delta);
     if (bits.compare_exchange_weak(old, next, std::memory_order_relaxed)) return;
   }
-}
-
-/// Shortest round-trippable representation, always a valid JSON number.
-std::string format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  // Normalize "inf"/"nan" (never produced by our instruments, but keep
-  // the output valid JSON regardless).
-  if (std::strchr(buf, 'i') != nullptr || std::strchr(buf, 'n') != nullptr) return "0";
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace mpa::obs {
 namespace {
@@ -20,20 +21,10 @@ RequestContext*& thread_request_context() {
   return ctx;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
+/// `name` nested under the calling thread's current span path.
+std::string child_path(std::string_view name) {
+  const std::string& cur = thread_current_path();
+  return cur.empty() ? std::string(name) : cur + "/" + std::string(name);
 }
 
 }  // namespace
@@ -64,30 +55,11 @@ Tracer& Tracer::global() {
 
 std::string Tracer::current_path() { return thread_current_path(); }
 
-Tracer::Buffer& Tracer::local_buffer() {
-  // The tracer co-owns every buffer, so records survive thread exit
-  // (pool teardown) until the next clear().
-  thread_local std::shared_ptr<Buffer> buf;
-  if (buf == nullptr) {
-    buf = std::make_shared<Buffer>();
-    MutexLock lk(mu_);
-    buf->tid = static_cast<std::uint32_t>(buffers_.size()) + 1;
-    buffers_.push_back(buf);
-  }
-  return *buf;
-}
-
 std::vector<SpanRecord> Tracer::snapshot() const {
-  std::vector<std::shared_ptr<Buffer>> bufs;
-  {
-    MutexLock lk(mu_);
-    bufs = buffers_;
-  }
   std::vector<SpanRecord> out;
-  for (const auto& b : bufs) {
-    MutexLock lk(b->mu);
-    out.insert(out.end(), b->records.begin(), b->records.end());
-  }
+  buffers_.for_each([&](const std::vector<SpanRecord>& records) {
+    out.insert(out.end(), records.begin(), records.end());
+  });
   std::sort(out.begin(), out.end(), [](const SpanRecord& a, const SpanRecord& b) {
     if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
     return a.path < b.path;
@@ -143,53 +115,49 @@ std::string summarize_spans(const std::vector<SpanRecord>& spans) {
 std::string Tracer::summary() const { return summarize_spans(snapshot()); }
 
 void Tracer::clear() {
-  std::vector<std::shared_ptr<Buffer>> bufs;
-  {
-    MutexLock lk(mu_);
-    bufs = buffers_;
-  }
-  for (const auto& b : bufs) {
-    MutexLock lk(b->mu);
-    b->records.clear();
-  }
+  buffers_.for_each([](std::vector<SpanRecord>& records) { records.clear(); });
 }
 
 Span::Span(std::string_view name) {
-  if (!enabled()) return;
-  const std::string& cur = thread_current_path();
-  path_ = cur.empty() ? std::string(name) : cur + "/" + std::string(name);
-  open();
+  if (enabled()) open(child_path(name), now_ns());
+}
+
+Span::Span(std::string_view name, std::uint64_t start_ns) {
+  if (enabled()) open(child_path(name), start_ns);
 }
 
 Span Span::with_path(std::string path) { return Span(AbsolutePath{}, std::move(path)); }
 
 Span::Span(AbsolutePath, std::string path) {
-  if (!enabled()) return;
-  path_ = std::move(path);
-  open();
+  if (enabled()) open(std::move(path), now_ns());
 }
 
-void Span::open() {
+void Span::open(std::string path, std::uint64_t start_ns) {
   active_ = true;
+  path_ = std::move(path);
   prev_path_ = thread_current_path();
   thread_current_path() = path_;
-  start_ns_ = now_ns();
+  start_ns_ = start_ns;
 }
 
 Span::~Span() {
+  if (active_) end(now_ns());
+}
+
+void Span::end(std::uint64_t end_ns) {
   if (!active_) return;
-  const std::uint64_t end = now_ns();
+  active_ = false;
   thread_current_path() = prev_path_;
-  SpanRecord rec{std::move(path_), start_ns_, end - start_ns_, 0, 0, {}};
+  SpanRecord rec{std::move(path_), start_ns_, end_ns - start_ns_, 0, 0, {}};
   if (RequestContext* ctx = thread_request_context()) {
     rec.req_id = ctx->req_id;
     rec.tenant = ctx->tenant;
     if (ctx->collect) ctx->stage_ns.emplace_back(rec.path, rec.dur_ns);
   }
-  Tracer::Buffer& buf = Tracer::global().local_buffer();
-  MutexLock lk(buf.mu);
-  rec.tid = buf.tid;
-  buf.records.push_back(std::move(rec));
+  Tracer::global().buffers_.with_local([&](std::vector<SpanRecord>& records, std::uint32_t tid) {
+    rec.tid = tid;
+    records.push_back(std::move(rec));
+  });
 }
 
 }  // namespace mpa::obs

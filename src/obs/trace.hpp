@@ -16,13 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "util/sync.hpp"
+#include "obs/thread_buffers.hpp"
 
 namespace mpa::obs {
 
@@ -102,7 +101,7 @@ class Tracer {
 
   /// Merge every thread's buffer, ordered by (start_ns, path) — stable
   /// content (paths and counts) across thread counts.
-  std::vector<SpanRecord> snapshot() const EXCLUDES(mu_);
+  std::vector<SpanRecord> snapshot() const;
 
   /// {"spans":[{"path":...,"start_ns":...,"dur_ns":...},...]}
   std::string to_json() const;
@@ -112,21 +111,15 @@ class Tracer {
   std::string summary() const;
 
   /// Drop every recorded span (buffers stay registered).
-  void clear() EXCLUDES(mu_);
+  void clear();
 
  private:
   friend class Span;
-  struct Buffer {
-    Mutex mu;  ///< Uncontended except at snapshot/clear time.
-    std::vector<SpanRecord> records GUARDED_BY(mu);
-    std::uint32_t tid = 0;  ///< Registration-order thread id (1-based).
-  };
 
   Tracer() = default;
-  Buffer& local_buffer() EXCLUDES(mu_);
 
-  mutable Mutex mu_;  ///< Guards buffers_ (registration + export).
-  std::vector<std::shared_ptr<Buffer>> buffers_ GUARDED_BY(mu_);
+  /// Registration order of a thread's buffer is its SpanRecord::tid.
+  ThreadBuffers<std::vector<SpanRecord>> buffers_;
 };
 
 /// RAII span on the global tracer. Records on destruction.
@@ -135,10 +128,19 @@ class Span {
   /// Nest under the calling thread's current span.
   explicit Span(std::string_view name);
 
+  /// Nest under the calling thread's current span, starting at
+  /// `start_ns`: a now_ns() value the caller has already read.
+  Span(std::string_view name, std::uint64_t start_ns);
+
   /// Absolute path, ignoring the thread-local stack (for pool-worker
   /// task bodies adopting the fan-out's parent).
   static Span with_path(std::string path);
 
+  /// Close the span as ending at `end_ns` (a now_ns() value the caller
+  /// has read) instead of at destruction; later calls do nothing.
+  void end(std::uint64_t end_ns);
+
+  /// Closes the span at now_ns() unless end() already closed it.
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -147,7 +149,7 @@ class Span {
   struct AbsolutePath {};
   Span(AbsolutePath, std::string path);
 
-  void open();
+  void open(std::string path, std::uint64_t start_ns);
 
   bool active_ = false;
   std::string path_;

@@ -1,26 +1,20 @@
 #include "obs/window.hpp"
 
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace mpa::obs {
 namespace {
 
-std::string format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  if (std::strchr(buf, 'i') != nullptr || std::strchr(buf, 'n') != nullptr) return "0";
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
+/// A label value in the Prometheus text format: backslash, double
+/// quote and line feed are escaped, every other byte is literal.
+std::string prometheus_label(std::string_view v) {
   std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
+  out.reserve(v.size());
+  for (char c : v) {
+    if (c == '\\' || c == '"') {
       out += '\\';
       out += c;
     } else if (c == '\n') {
@@ -190,16 +184,20 @@ std::string WindowRegistry::to_json() const {
 std::string WindowRegistry::to_prometheus() const {
   const Snapshot snap = snapshot();
   std::ostringstream os;
-  auto labels = [](const SeriesWindow& w) {
-    return "{tenant=\"" + w.tenant + "\",kind=\"" + w.kind + "\"}";
+  // The series' labels without the closing brace, so a caller can add
+  // a status or quantile label.
+  auto open_labels = [](const SeriesWindow& w) {
+    return "{tenant=\"" + prometheus_label(w.tenant) + "\",kind=\"" + prometheus_label(w.kind) +
+           '"';
   };
+  auto labels = [&](const SeriesWindow& w) { return open_labels(w) + '}'; };
   os << "# TYPE mpa_window_requests_total gauge\n";
   static const char* const kStatusNames[] = {"ok", "rejected", "deadline_exceeded", "error"};
   for (const SeriesWindow& w : snap.series) {
     const std::uint64_t by_status[] = {w.ok, w.rejected, w.deadline_exceeded, w.error};
     for (std::size_t s = 0; s < 4; ++s) {
-      os << "mpa_window_requests_total{tenant=\"" << w.tenant << "\",kind=\"" << w.kind
-         << "\",status=\"" << kStatusNames[s] << "\"} " << by_status[s] << '\n';
+      os << "mpa_window_requests_total" << open_labels(w) << ",status=\"" << kStatusNames[s]
+         << "\"} " << by_status[s] << '\n';
     }
   }
   os << "# TYPE mpa_window_throughput_rps gauge\n";
@@ -226,8 +224,8 @@ std::string WindowRegistry::to_prometheus() const {
     for (const SeriesWindow& w : snap.series) {
       const double qs[] = {w.*member_p50, w.*member_p90, w.*member_p99};
       for (std::size_t i = 0; i < 3; ++i) {
-        os << name << "{tenant=\"" << w.tenant << "\",kind=\"" << w.kind << "\",quantile=\""
-           << kQuantiles[i] << "\"} " << format_number(qs[i]) << '\n';
+        os << name << open_labels(w) << ",quantile=\"" << kQuantiles[i] << "\"} "
+           << format_number(qs[i]) << '\n';
       }
     }
   };

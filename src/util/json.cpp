@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/error.hpp"
 
@@ -290,6 +291,13 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string format_number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  if (std::strchr(buf, 'i') != nullptr || std::strchr(buf, 'n') != nullptr) return "0";
+  return buf;
 }
 
 }  // namespace mpa

@@ -6,7 +6,9 @@
 // Scope is deliberately small: parse a complete UTF-8 document into an
 // immutable DOM (objects are key-ordered maps, duplicate keys keep the
 // last value). Serialization stays with each producer — exports are
-// hand-written streams so their field order is part of the contract.
+// hand-written streams so their field order is part of the contract —
+// but every producer writes strings and numbers through json_escape
+// and format_number below.
 #pragma once
 
 #include <cstdint>
@@ -65,5 +67,9 @@ JsonValue parse_json(std::string_view text);
 /// Escape `s` for embedding inside a JSON string literal (quotes,
 /// backslashes, and control characters).
 std::string json_escape(std::string_view s);
+
+/// `v` as a JSON number token ("%.12g"); inf and nan, which JSON
+/// cannot express, are written as 0.
+std::string format_number(double v);
 
 }  // namespace mpa

@@ -7,13 +7,17 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "case_dir.hpp"
 #include "engine/session.hpp"
 #include "io/dataset_io.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "simulation/osp_generator.hpp"
 #include "util/rng.hpp"
 
@@ -662,6 +666,111 @@ TEST(Session, ReplaceDataWithIdenticalFingerprintIsNoOp) {
   EXPECT_EQ(session.stats().table_builds, 2u);
   obs::set_enabled(false);
   obs::Registry::global().reset_values();
+}
+
+// --- one stage record -------------------------------------------------
+
+TEST(Session, StageTimingAndCountsComeFromOneRecord) {
+  SessionOptions opts;
+  opts.artifact_dir = case_dir();
+  opts.artifact_key = "mpa_engine_test_stage_record";
+  opts.threads = 2;
+  opts.inference.num_months = kMonths - 1;
+  const ArtifactStore store(opts.artifact_dir);
+  store.remove(opts.artifact_key);
+  const SplitDataset split = split_osp(kMonths - 1);
+  const DiskDataset& base = split.base;
+
+  obs::set_enabled(true);
+  {
+    AnalysisSession first(base.inventory, base.snapshots, base.tickets, opts);
+    first.case_table();
+    first.lint();
+  }  // persists both artifacts for the store requests below
+  obs::Registry::global().reset_values();
+  obs::Tracer::global().clear();
+
+  AnalysisSession session(base.inventory, base.snapshots, base.tickets, opts);
+  session.case_table();  // store
+  session.lint();        // store
+  session.case_table();  // memo
+  session.dependence();
+  session.causal(Practice::kNumChangeEvents);
+  session.causal(Practice::kNumChangeEvents);  // memo
+  session.evaluate_cv(2, ModelKind::kDecisionTree);
+  session.evaluate_cv(2, ModelKind::kDecisionTree);  // memo
+  session.online_accuracy(2, 1, ModelKind::kDecisionTree, 1, kMonths - 2);
+  session.append_month(split.deltas.front());
+  session.invalidate();
+  session.case_table();  // computed again over the appended data
+  session.lint();
+
+  const RunManifest m = session.manifest();
+  const std::vector<obs::SpanRecord> spans = obs::Tracer::global().snapshot();
+  std::map<std::string, std::size_t> by_disposition;
+  for (const StageRun& run : m.stages) ++by_disposition[run.stage + "/" + run.source];
+  EXPECT_EQ(by_disposition["case_table/store"], 1u);
+  EXPECT_EQ(by_disposition["case_table/computed"], 1u);
+
+  // Each computed stage's span, histogram sample and StageRun carry the
+  // same duration: stages run one after another, so the k-th computed
+  // run of a stage is its k-th top-level span and histogram sample.
+  for (const char* stage :
+       {"case_table", "lint", "dependence", "causal", "cv", "online", "append"}) {
+    std::vector<double> run_seconds;
+    for (const StageRun& run : m.stages)
+      if (run.stage == stage && run.source == "computed") run_seconds.push_back(run.seconds);
+    std::vector<double> span_seconds;
+    for (const obs::SpanRecord& span : spans)
+      if (span.path == stage) span_seconds.push_back(static_cast<double>(span.dur_ns) * 1e-9);
+    EXPECT_FALSE(run_seconds.empty()) << stage;
+    EXPECT_EQ(span_seconds, run_seconds) << stage;
+
+    const std::string hist_name = std::string(stage) == "append"
+                                      ? std::string("mpa_ingest_seconds")
+                                      : "mpa_stage_seconds_" + std::string(stage);
+    const obs::Histogram& hist = obs::Registry::global().histogram(hist_name);
+    double sum = 0;
+    for (double s : run_seconds) sum += s;
+    EXPECT_EQ(hist.count(), run_seconds.size()) << stage;
+    EXPECT_EQ(hist.sum(), sum) << stage;
+  }
+
+  // CacheStats, the manifest's cache map and the mpa_session_* counters
+  // are the counts of the manifest's stage record.
+  std::size_t memo = 0;
+  for (const StageRun& run : m.stages) memo += run.source == "memo";
+  const AnalysisSession::CacheStats stats = session.stats();
+  const std::map<std::string, std::uint64_t> counters =
+      obs::Registry::global().counters_snapshot();
+  const std::pair<const char*, std::size_t> expected[] = {
+      {"memo_hits", memo},
+      {"table_builds", by_disposition["case_table/computed"]},
+      {"table_loads", by_disposition["case_table/store"]},
+      {"lint_runs", by_disposition["lint/computed"]},
+      {"lint_loads", by_disposition["lint/store"]},
+      {"causal_runs", by_disposition["causal/computed"]},
+      {"cv_runs", by_disposition["cv/computed"]},
+      {"online_runs", by_disposition["online/computed"]},
+      {"appends", by_disposition["append/computed"]},
+  };
+  const std::size_t fields[] = {stats.hits,       stats.table_builds, stats.table_loads,
+                                stats.lint_runs,  stats.lint_loads,   stats.causal_runs,
+                                stats.cv_runs,    stats.online_runs,  stats.appends};
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    const std::string name = expected[i].first;
+    EXPECT_EQ(fields[i], expected[i].second) << name;
+    EXPECT_EQ(m.cache.at(name == "memo_hits" ? "hits" : name), expected[i].second) << name;
+    EXPECT_EQ(counters.at("mpa_session_" + name + "_total"), expected[i].second) << name;
+  }
+  // Three repeated requests, plus the table request of each of
+  // dependence, causal, cv and online.
+  EXPECT_EQ(memo, 7u);
+
+  obs::set_enabled(false);
+  obs::Registry::global().reset_values();
+  obs::Tracer::global().clear();
+  store.remove(opts.artifact_key);
 }
 
 TEST(RunManifest, ReplaceDataMovesTheFingerprint) {

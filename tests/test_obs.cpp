@@ -131,14 +131,6 @@ TEST_F(ObsTest, DisabledSpansRecordNothing) {
   EXPECT_TRUE(obs::Tracer::global().snapshot().empty());
 }
 
-TEST_F(ObsTest, ScopedTimerObservesAndNullIsInert) {
-  obs::Histogram& h = obs::Registry::global().histogram("obs_timer_hist");
-  { obs::ScopedTimer t(&h); }
-  EXPECT_EQ(h.count(), 1u);
-  { obs::ScopedTimer t(nullptr); }  // the disabled idiom
-  EXPECT_EQ(h.count(), 1u);
-}
-
 TEST_F(ObsTest, SummaryAggregatesByPath) {
   { obs::Span a("alpha"); }
   { obs::Span a("alpha"); }
@@ -770,6 +762,56 @@ TEST_F(ObsTest, ChromeTraceCarriesRequestTags) {
     ASSERT_EQ(parsed.size(), 1u);
     EXPECT_EQ(parsed[0].req_id, 11u);
     EXPECT_EQ(parsed[0].tenant, "acme");
+  }
+}
+
+TEST_F(ObsTest, ExportsEscapeTenantsAsJsonAndPrometheusLabels) {
+  const std::string tenant = "a\tb\"c\x01" "d";
+  obs::RequestContext ctx;
+  ctx.req_id = 5;
+  ctx.tenant = tenant;
+  {
+    obs::ScopedRequestContext scoped(&ctx);
+    obs::Span s("tagged");
+  }
+  LogicalWindow w(2, 1'000'000'000);
+  w.registry.record(tenant, "rank", "ok", 1.0, 2.0, 3.0);
+
+  const std::string window = w.registry.to_json();
+  const std::string spans = obs::Tracer::global().to_json();
+  const std::string chrome = obs::chrome_trace_json(obs::Tracer::global().snapshot());
+  for (const std::string* text : {&window, &spans, &chrome}) {
+    // Tracer::to_json ends its document with a newline; nothing else
+    // below 0x20 may appear.
+    const std::string body = text->substr(0, text->find_last_not_of('\n') + 1);
+    for (char c : body) EXPECT_GE(static_cast<unsigned char>(c), 0x20) << *text;
+  }
+  EXPECT_EQ(parse_json(window).at("series").as_array().at(0).at("tenant").as_string(), tenant);
+  EXPECT_EQ(parse_json(spans).at("spans").as_array().at(0).at("tenant").as_string(), tenant);
+  EXPECT_EQ(parse_json(chrome)
+                .at("traceEvents")
+                .as_array()
+                .at(0)
+                .at("args")
+                .at("tenant")
+                .as_string(),
+            tenant);
+
+  // Prometheus label values escape backslash, quote and line feed.
+  w.registry.record("q\"x\\y\nz", "rank", "ok", 1.0, 2.0, 3.0);
+  const std::string prom = w.registry.to_prometheus();
+  EXPECT_NE(prom.find("mpa_window_requests_total{tenant=\"q\\\"x\\\\y\\nz\",kind=\"rank\","
+                      "status=\"ok\"} 1"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("mpa_window_latency_ms{tenant=\"q\\\"x\\\\y\\nz\",kind=\"rank\","
+                      "quantile=\"0.5\"}"),
+            std::string::npos)
+      << prom;
+  std::istringstream lines(prom);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_TRUE(line.rfind("# TYPE mpa_window_", 0) == 0 || line.rfind("mpa_window_", 0) == 0)
+        << line;
   }
 }
 
